@@ -19,6 +19,9 @@ The HGF text format round-trips any GridFunction:
     one line per nonzero entry, in increasing index order:
                        "s1 s2 ... sn value"  with value "num" or "num/den"
     "#" starts a comment; blank lines are ignored.
+
+The parser rejects a header with q^n above MAX_VERTICES before it
+allocates anything.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
 Word = tuple[int, ...]
+
+# The largest q^n any parser or spectral routine accepts.  It is the memory
+# bound of the spectral engine, which holds n+1 integer arrays of q^n entries.
+MAX_VERTICES = 2**16
 
 
 def validate_alphabet(q: int) -> None:
@@ -41,6 +48,16 @@ def validate_word(word: Sequence[int], q: int) -> None:
     for s in word:
         if not 0 <= s < q:
             raise ValueError(f"symbol {s} out of range for alphabet size {q}")
+
+
+def exceeds_vertex_cap(n: int, q: int) -> bool:
+    """Whether q^n > MAX_VERTICES, decided without forming a huge power (q >= 2)."""
+    size = 1
+    for _ in range(n):
+        size *= q
+        if size > MAX_VERTICES:
+            return True
+    return False
 
 
 def word_to_index(word: Sequence[int], q: int) -> int:
@@ -269,6 +286,10 @@ def loads_hgf(text: str) -> GridFunction:
                 raise HGFError(f"line {lineno}: header must be two integers") from None
             if n < 0 or q < 2:
                 raise HGFError(f"line {lineno}: need n >= 0 and q >= 2")
+            if exceeds_vertex_cap(n, q):
+                raise HGFError(
+                    f"line {lineno}: q^n = {q}^{n} exceeds the vertex cap {MAX_VERTICES}"
+                )
             header = (n, q)
             values = [Fraction(0)] * q**n
             continue

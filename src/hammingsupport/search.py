@@ -17,7 +17,7 @@ pinned into S (the graph is vertex-transitive and the subspace is invariant
 under all automorphisms), maintaining an incremental fraction-free
 elimination of the chosen columns; a dependency immediately yields an
 integer kernel vector, which is returned as the witness after re-validation
-through the projector route.
+through the membership test of `spectra`.
 
 Optional orbit pruning skips sets that some automorphism fixing the zero
 word maps to a lexicographically smaller set.  Every orbit keeps its
@@ -44,6 +44,12 @@ from .constructions import build_F1, build_F2, min_support_bound, SupportBound
 # Full-stabilizer pruning tables above this size fall back to coordinate
 # permutations only (still sound, just weaker pruning).
 MAX_STABILIZER = 20_000
+
+# The rank tests read columns from a q^2n-byte distance table, so the search
+# keeps its own, smaller vertex cap.
+MAX_SEARCH_VERTICES = 6000
+
+_BUMP = bytes(min(i + 1, 255) for i in range(256))
 
 
 class SearchStatus(enum.Enum):
@@ -88,6 +94,35 @@ class LowerBoundReport:
     witness_support: int
     counterexample: Optional[GridFunction]
     subsets_examined: int
+
+
+def _check_scale(n: int, q: int) -> int:
+    size = q**n
+    if size > MAX_SEARCH_VERTICES:
+        raise spectra.ScaleError(f"q^n = {size} too large for the rank-test oracle")
+    return size
+
+
+@lru_cache(maxsize=8)
+def _distance_rows(n: int, q: int) -> tuple[bytes, ...]:
+    """rows[x][y] = Hamming distance between the words with indices x, y."""
+    _check_scale(n, q)
+    rows: list[bytes] = [b"\x00"]
+    size = 1
+    for _ in range(n):
+        new_rows: list[bytes] = []
+        for row in rows:
+            expanded = bytearray(size * q)
+            for b in range(q):
+                expanded[b::q] = row
+            bumped = expanded.translate(_BUMP)
+            for a in range(q):
+                block = bytearray(bumped)
+                block[a::q] = row
+                new_rows.append(bytes(block))
+        rows = new_rows
+        size *= q
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -211,14 +246,12 @@ def exists_with_support_at_most(
 ) -> SearchOutcome:
     """Decide whether some nonzero f in U_[lo,hi](n,q) has support <= s."""
     spectra.validate_range(n, lo, hi)
-    size = q**n
-    if size > spectra.MAX_DENSE_VERTICES:
-        raise spectra.ScaleError(f"q^n = {size} too large for the rank-test oracle")
+    size = _check_scale(n, q)
     if s <= 0:
         return SearchOutcome(SearchStatus.EXHAUSTED, None, None, 0)
 
     kernel = _complement_kernel(n, q, lo, hi)
-    rows = spectra._distance_rows(n, q)
+    rows = _distance_rows(n, q)
     maps = _pruning_maps(n, q) if budget.symmetry_pruning else ()
     limit = budget.max_subsets
     elim = _Eliminator(size)
@@ -268,7 +301,7 @@ def exists_with_support_at_most(
         return SearchOutcome(SearchStatus.EXHAUSTED, None, None, tests)
     chosen, coeff = hit
     witness = _witness_from_kernel(chosen, coeff, n, q)
-    # re-validate through the projector route before reporting
+    # re-validate through the membership test before reporting
     assert not witness.is_zero()
     assert witness.support_size() <= s
     assert spectra.in_direct_sum(witness, lo, hi)

@@ -1,24 +1,48 @@
 """Spectral decomposition of functions on H(n,q), in exact arithmetic.
 
-The adjacency operator of H(n,q) has the n+1 eigenvalues
+The adjacency operator A of H(n,q) has the n+1 eigenvalues
 
     lambda_i(n,q) = n(q-1) - q*i,   i = 0, ..., n,
 
-with eigenspaces U_i(n,q).  The orthogonal projector E_i onto U_i acts by
-direct summation against the Krawtchouk kernel:
+with eigenspaces U_i(n,q) and orthogonal projectors E_i.  One integer
+engine serves every entry point: a graded tensor transform for projections
+and profiles, and an annihilator in A for membership.
 
-    (E_i f)(x) = q^(-n) * sum_over_y K_i(d(x,y)) * f(y),
+Graded transform.  On a single coordinate, Q^q splits into the constants,
+the range of P0 = J/q (J the all-ones q x q matrix), and the zero-sum
+vectors, the range of P1 = I - J/q.  H(n,q) is the Cartesian product of n
+copies of K_q, whose adjacency J - I is q-1 on constants and -1 on zero-sum
+vectors.  So the tensor product with P1 on a coordinate set S and P0 on the
+rest projects into the eigenspace of eigenvalue
+(n-|S|)(q-1) - |S| = lambda_|S|.  These 2^n products are orthogonal
+idempotents that sum to the identity, hence
 
-where d is Hamming distance and
+    E_w = sum over |S| = w of (P1 on S) (x) (P0 off S).
 
-    K_i(d) = sum_j (-1)^j (q-1)^(i-j) C(d,j) C(n-d,i-j).
+`_graded` evaluates all n+1 sums in one sweep.  It scales the values to
+integers over a common denominator den and keeps one integer array per
+weight w.  A pass over a coordinate replaces the array g of weight w by its
+mean part J g, kept at weight w, and its deviation part q g - J g, moved to
+weight w+1.  These are q P0 g and q P1 g.  After n passes each set S has
+been applied along exactly one path (deviation on S, mean elsewhere), each
+pass contributed one factor q, and only integer additions and
+multiplications were used.  So array w is exactly den * q^n * E_w f.  The
+cost is O(n^2 q^n) and no table is built.
 
-Everything here is rational with denominator dividing q^n; there is no
-tolerance parameter anywhere (exact equality or nothing).  Membership in a
-direct sum U_[i,j] = U_i + ... + U_j is decided by checking that every
-projection outside [i,j] vanishes, so no eigenbasis is ever materialized.
+Annihilator.  f lies in U_[lo,hi] = U_lo + ... + U_hi iff
 
-All functions are pure; cached tables are immutable after construction.
+    prod over t in [lo, hi] of (A - lambda_t) f = 0.
+
+The product multiplies E_w f by c_w = prod over t in [lo, hi] of
+(lambda_w - lambda_t).  The eigenvalues are distinct, so c_w = 0 exactly for
+w inside [lo, hi].  What is left is the sum of c_w E_w f over w outside the
+range, with every c_w nonzero.  Its terms lie in independent eigenspaces,
+so it vanishes iff every E_w f outside [lo, hi] does.  The test is hi-lo+1
+integer adjacency passes with no division, so it is exact.
+
+There is no tolerance parameter anywhere (exact equality or nothing).  The
+engine holds n+1 integer arrays of q^n entries, so q^n is capped at
+core.MAX_VERTICES.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -27,23 +51,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .core import GridFunction
-
-# Direct summation walks all q^n * q^n vertex pairs, so cap the dense scale.
-MAX_DENSE_VERTICES = 6000
-
-_BUMP = bytes(min(i + 1, 255) for i in range(256))
+from .core import MAX_VERTICES, GridFunction, exceeds_vertex_cap
 
 
 class ScaleError(ValueError):
-    """q^n too large for dense projector arithmetic."""
+    """q^n too large for the exact spectral engine."""
 
 
-def _check_scale(n: int, q: int) -> int:
-    size = q**n
-    if size > MAX_DENSE_VERTICES:
-        raise ScaleError(f"q^n = {size} exceeds dense limit {MAX_DENSE_VERTICES}")
-    return size
+def _check_scale(n: int, q: int) -> None:
+    if exceeds_vertex_cap(n, q):
+        raise ScaleError(f"q^n = {q}^{n} exceeds the vertex cap {MAX_VERTICES}")
 
 
 def _check_eigenindex(n: int, i: int) -> None:
@@ -86,28 +103,6 @@ def eigenspace_dimension(n: int, q: int, i: int) -> int:
     return dim
 
 
-@lru_cache(maxsize=8)
-def _distance_rows(n: int, q: int) -> tuple[bytes, ...]:
-    """rows[x][y] = Hamming distance between the words with indices x, y."""
-    _check_scale(n, q)
-    rows: list[bytes] = [b"\x00"]
-    size = 1
-    for _ in range(n):
-        new_rows: list[bytes] = []
-        for row in rows:
-            expanded = bytearray(size * q)
-            for b in range(q):
-                expanded[b::q] = row
-            bumped = expanded.translate(_BUMP)
-            for a in range(q):
-                block = bytearray(bumped)
-                block[a::q] = row
-                new_rows.append(bytes(block))
-        rows = new_rows
-        size *= q
-    return tuple(rows)
-
-
 def _scaled_integers(f: GridFunction) -> tuple[list[int], int]:
     """Values as integers over a common denominator."""
     den = 1
@@ -116,94 +111,90 @@ def _scaled_integers(f: GridFunction) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in f.values], den
 
 
-def _bucket_sums(f: GridFunction) -> tuple[list[list[int]], int]:
-    """buckets[x][d] = sum of scaled f over vertices at distance d from x."""
-    size = _check_scale(f.n, f.q)
-    rows = _distance_rows(f.n, f.q)
+def _split_last(g: list[int], q: int) -> tuple[list[list[int]], list[int]]:
+    """The fibers g[s::q] of the last coordinate and their elementwise sum.
+
+    Concatenating the fibers moves the last coordinate to the front, so n
+    successive passes over an array of q^n entries restore index order.
+    """
+    fibers = [g[s::q] for s in range(q)]
+    return fibers, list(map(sum, zip(*fibers)))
+
+
+def _graded(f: GridFunction) -> tuple[list[list[int]], int]:
+    """graded[w] = den * q^n * E_w f as integers, for w = 0..n, and den."""
+    n, q = f.n, f.q
+    _check_scale(n, q)
     nums, den = _scaled_integers(f)
-    nonzero = [(idx, v) for idx, v in enumerate(nums) if v]
-    width = f.n + 1
-    buckets = []
-    for x in range(size):
-        row = rows[x]
-        b = [0] * width
-        for idx, v in nonzero:
-            b[row[idx]] += v
-        buckets.append(b)
-    return buckets, den
+    graded = [nums]
+    for _ in range(n):
+        out = []
+        prev_fibers: list[list[int]] = []
+        prev_sums: list[int] = []
+        for w, g in enumerate(graded):
+            fibers, sums = _split_last(g, q)
+            if w == 0:
+                out.append(sums * q)
+            else:
+                # mean part of weight w plus deviation part of weight w-1
+                out.append([
+                    t + q * v - u
+                    for fiber in prev_fibers
+                    for v, u, t in zip(fiber, prev_sums, sums)
+                ])
+            prev_fibers, prev_sums = fibers, sums
+        out.append([q * v - u for fiber in prev_fibers for v, u in zip(fiber, prev_sums)])
+        graded = out
+    return graded, den
 
 
-def _combined_kernel(n: int, q: int, indices) -> list[int]:
-    table = krawtchouk_table(n, q)
-    return [sum(table[t][d] for t in indices) for d in range(n + 1)]
-
-
-def _projection_from_buckets(
-    f: GridFunction, buckets: list[list[int]], den: int, kernel: list[int]
-) -> GridFunction:
-    scale = den * f.q**f.n
-    drange = range(f.n + 1)
-    values = tuple(
-        Fraction(sum(kernel[d] * b[d] for d in drange), scale) for b in buckets
-    )
-    return GridFunction(f.n, f.q, values)
+def _from_scaled(f: GridFunction, nums: list[int], scale: int) -> GridFunction:
+    return GridFunction(f.n, f.q, tuple(Fraction(v, scale) for v in nums))
 
 
 def project_eigenspace(f: GridFunction, i: int) -> GridFunction:
-    """E_i f by direct Krawtchouk summation over all vertex pairs."""
+    """E_i f, read off the graded transform."""
     _check_eigenindex(f.n, i)
-    buckets, den = _bucket_sums(f)
-    return _projection_from_buckets(f, buckets, den, _combined_kernel(f.n, f.q, (i,)))
+    graded, den = _graded(f)
+    return _from_scaled(f, graded[i], den * f.q**f.n)
 
 
 def project_span(f: GridFunction, lo: int, hi: int) -> GridFunction:
     """(E_lo + ... + E_hi) f, the projection onto U_[lo,hi]."""
     validate_range(f.n, lo, hi)
-    buckets, den = _bucket_sums(f)
-    kernel = _combined_kernel(f.n, f.q, range(lo, hi + 1))
-    return _projection_from_buckets(f, buckets, den, kernel)
+    graded, den = _graded(f)
+    return _from_scaled(f, list(map(sum, zip(*graded[lo : hi + 1]))), den * f.q**f.n)
 
 
 def decompose(f: GridFunction) -> list[GridFunction]:
     """All projections [E_0 f, ..., E_n f]; they sum back to f exactly."""
-    buckets, den = _bucket_sums(f)
-    table = krawtchouk_table(f.n, f.q)
-    return [
-        _projection_from_buckets(f, buckets, den, list(table[i]))
-        for i in range(f.n + 1)
-    ]
+    graded, den = _graded(f)
+    scale = den * f.q**f.n
+    return [_from_scaled(f, g, scale) for g in graded]
 
 
 def spectral_profile(f: GridFunction) -> tuple[int, ...]:
     """Indices i with E_i f != 0 (the empty tuple for the zero function)."""
-    buckets, _ = _bucket_sums(f)
-    table = krawtchouk_table(f.n, f.q)
-    drange = range(f.n + 1)
-    out = []
-    for i in range(f.n + 1):
-        kernel = table[i]
-        if any(sum(kernel[d] * b[d] for d in drange) for b in buckets):
-            out.append(i)
-    return tuple(out)
+    graded, _ = _graded(f)
+    return tuple(i for i, g in enumerate(graded) if any(g))
 
 
 def in_direct_sum(f: GridFunction, lo: int, hi: int) -> bool:
-    """Whether f lies in U_[lo,hi](n,q).
+    """Whether f lies in U_[lo,hi](n,q), by the annihilator in A.
 
     The zero function belongs to every subspace; callers that need a
     nonzero function must check support separately.
     """
     validate_range(f.n, lo, hi)
-    buckets, _ = _bucket_sums(f)
-    table = krawtchouk_table(f.n, f.q)
-    drange = range(f.n + 1)
-    for i in range(f.n + 1):
-        if lo <= i <= hi:
-            continue
-        kernel = table[i]
-        if any(sum(kernel[d] * b[d] for d in drange) for b in buckets):
-            return False
-    return True
+    _check_scale(f.n, f.q)
+    nums, _ = _scaled_integers(f)
+    for t in range(lo, hi + 1):
+        if not any(nums):
+            break
+        lam = eigenvalue(f.n, f.q, t)
+        adj = _apply_adjacency_int(nums, f.n, f.q)
+        nums = [a - lam * v for a, v in zip(adj, nums)]
+    return not any(nums)
 
 
 def apply_adjacency(f: GridFunction) -> GridFunction:
@@ -214,19 +205,15 @@ def apply_adjacency(f: GridFunction) -> GridFunction:
 
 
 def _apply_adjacency_int(nums: list[int], n: int, q: int) -> list[int]:
-    size = q**n
-    out = [0] * size
-    stride = 1
+    out = [0] * len(nums)
     for _ in range(n):
-        period = stride * q
-        for base in range(0, size, period):
-            for off in range(stride):
-                start = base + off
-                fiber = range(start, base + period, stride)
-                total = sum(nums[idx] for idx in fiber)
-                for idx in fiber:
-                    out[idx] += total - nums[idx]
-        stride = period
+        fibers, sums = _split_last(nums, q)
+        out = [
+            o + t - v
+            for s, fiber in enumerate(fibers)
+            for o, v, t in zip(out[s::q], fiber, sums)
+        ]
+        nums = [v for fiber in fibers for v in fiber]
     return out
 
 

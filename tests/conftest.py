@@ -3,7 +3,7 @@
 The oracles deliberately avoid the library's optimized code paths:
 adjacency goes through explicit neighbor lists, and eigenspace projection
 through Lagrange interpolation in the adjacency operator, so agreement with
-the Krawtchouk-kernel route is a genuine cross-check.
+the graded transform and the annihilator is a genuine cross-check.
 """
 
 from fractions import Fraction

@@ -144,6 +144,19 @@ class TestVerify:
         assert code == 1
         assert "line 3" in stderr
 
+    def test_oversized_header_rejected(self, tmp_path, capsys):
+        # 10^30 vertices overflows a list; 10^9 would allocate gigabytes;
+        # 2^(10^9) must be rejected without forming the power
+        for header in ("30 10", "9 10", "1000000000 2"):
+            path = tmp_path / "big.hgf"
+            path.write_text(header + "\n")
+            code, _, stderr = run(capsys, "verify", str(path), "--lo", "0", "--hi", "1")
+            assert code == 1
+            assert stderr.startswith("error: line 1:")
+            assert "vertex cap" in stderr
+            assert stderr.count("\n") == 1
+            assert "Traceback" not in stderr
+
 
 class TestProject:
     def test_projection_round_trip(self, tmp_path, capsys):

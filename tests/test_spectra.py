@@ -231,5 +231,90 @@ class TestTensorCompatibility:
 
 class TestScaleGuard:
     def test_too_large(self):
+        # 2^17 vertices is above MAX_VERTICES = 2^16
         with pytest.raises(ScaleError):
-            project_eigenspace(GridFunction.zero(13, 2), 1)
+            project_eigenspace(GridFunction.zero(17, 2), 1)
+
+
+def _oracle_shapes():
+    """Every (n, q) with q <= 16 and q^n <= 256, n = 0 included, plus (1, 256)."""
+    shapes = [(1, 256)]
+    for q in range(2, 17):
+        n = 0
+        while q**n <= 256:
+            shapes.append((n, q))
+            n += 1
+    return shapes
+
+
+def _rational_values(n, q, rng):
+    return GridFunction(
+        n,
+        q,
+        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(q**n)),
+    )
+
+
+class TestEngineAgainstOracle:
+    """The graded transform and the annihilator against Lagrange interpolation."""
+
+    @pytest.mark.parametrize("n,q", _oracle_shapes())
+    def test_decompose_and_membership(self, n, q, rng):
+        f = _rational_values(n, q, rng)
+        oracle = [lagrange_project(f, i) for i in range(n + 1)]
+        assert decompose(f) == oracle
+        # keep a random set of components so membership has both answers
+        kept = [i for i in range(n + 1) if rng.random() < 0.5]
+        g = GridFunction.zero(n, q)
+        for i in kept:
+            g = g + oracle[i]
+        vanishing = [lagrange_project(g, w).is_zero() for w in range(n + 1)]
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                expected = all(
+                    vanishing[w] for w in range(n + 1) if not lo <= w <= hi
+                )
+                assert expected == all(lo <= i <= hi for i in kept)
+                assert in_direct_sum(g, lo, hi) == expected
+
+
+class TestBeyondOldCap:
+    """q^n = 16384, with every component known by construction."""
+
+    @staticmethod
+    def _product(pattern, rng, q):
+        # pattern[c] is 1 for a zero-sum factor on coordinate c, 0 for a constant
+        out = GridFunction.constant(0, q, 1)
+        for zero_sum in pattern:
+            if zero_sum:
+                head = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(q - 1)]
+                if not any(head):
+                    head[0] = Fraction(1)
+                factor = head + [-sum(head)]
+            else:
+                factor = [Fraction(rng.randint(1, 5), rng.randint(1, 3))] * q
+            out = out.tensor(GridFunction(1, q, tuple(factor)))
+        return out
+
+    def test_components_and_membership(self, rng):
+        n, q = 7, 4
+        patterns = {
+            2: [(1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 1)],
+            3: [(0, 1, 0, 1, 0, 1, 0)],
+            5: [(1, 1, 1, 0, 1, 0, 1)],
+        }
+        expected = [GridFunction.zero(n, q) for _ in range(n + 1)]
+        for w, group in patterns.items():
+            for pattern in group:
+                assert sum(pattern) == w
+                expected[w] = expected[w] + self._product(pattern, rng, q)
+        f = expected[0]
+        for part in expected[1:]:
+            f = f + part
+        assert decompose(f) == expected
+        assert spectral_profile(f) == (2, 3, 5)
+        assert project_span(f, 3, 5) == expected[3] + expected[5]
+        for lo, hi in ((2, 5), (0, 7), (1, 6), (2, 6)):
+            assert in_direct_sum(f, lo, hi)
+        for lo, hi in ((3, 5), (2, 4), (0, 2), (5, 7), (3, 3)):
+            assert not in_direct_sum(f, lo, hi)
