@@ -5,6 +5,10 @@ selfcheck.  Values print as exact fractions, coordinates are 1-based on the
 command line (the Python API is 0-based), and --json switches the report
 commands to machine-readable output.
 
+selfcheck runs the claim battery of `hammingsupport.claims`, the same one
+the acceptance tests run: --scale quick runs its quick claims at a
+sub-second size, --scale full runs every claim at the acceptance scale.
+
 Exit codes: 0 success/conclusive, 1 usage or regime error, 2 inconclusive
 (search budget exhausted).
 """
@@ -21,7 +25,16 @@ from fractions import Fraction
 from . import characterize as chz
 from . import constructions as cons
 from . import reduction, search, spectra
-from .core import GridFunction, HGFError, dumps_hgf, read_hgf, write_hgf
+from .core import (
+    MAX_VERTICES,
+    GridFunction,
+    HGFError,
+    dumps_hgf,
+    exceeds_vertex_cap,
+    read_hgf,
+    validate_alphabet,
+    write_hgf,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,12 +101,20 @@ def _note(msg: str, to_stderr: bool) -> None:
 # -- gen -----------------------------------------------------------------
 
 
+def _check_shape(n: int, q: int) -> None:
+    """Reject an output on Sigma_q^n above the vertex cap before building it."""
+    validate_alphabet(q)
+    if exceeds_vertex_cap(n, q):
+        raise SystemExit(f"error: q^n = {q}^{n} exceeds the vertex cap {MAX_VERTICES}")
+
+
 def _cmd_gen(args) -> int:
     family = args.family
     if family in ("f1", "f2"):
         for name in ("n", "q", "i", "j"):
             if getattr(args, name) is None:
                 raise SystemExit(f"error: --{name} is required for {family}")
+        _check_shape(args.n, args.q)
         factors = None
         if args.factors:
             factors = [_parse_factor(t) for t in args.factors.split(";") if t.strip()]
@@ -104,6 +125,7 @@ def _cmd_gen(args) -> int:
     elif family in ("a1", "a2", "a3", "a4"):
         if args.q is None:
             raise SystemExit("error: --q is required for elementary factors")
+        _check_shape(2 if family == "a1" else 1, args.q)
         params = ()
         if family in ("a1", "a2"):
             if args.k is None or args.m is None:
@@ -118,6 +140,7 @@ def _cmd_gen(args) -> int:
     elif family == "counterexample-g":
         if args.q is None:
             raise SystemExit("error: --q is required for counterexample-g")
+        _check_shape(2, args.q)
         f = cons.counterexample_g(args.q)
         membership = (1, 2)
     elif family == "counterexample-h":
@@ -352,252 +375,26 @@ def _cmd_characterize(args) -> int:
 # -- selfcheck ------------------------------------------------------------------
 
 
-def _random_member(n, q, lo, hi, rng) -> GridFunction:
-    """A nonzero integer-valued member of U_[lo,hi](n,q)."""
-    while True:
-        raw = GridFunction(
-            n, q, tuple(Fraction(rng.randint(-9, 9)) for _ in range(q**n))
-        )
-        f = spectra.project_span(raw, lo, hi).scale(q**n)
-        if not f.is_zero():
-            return f
+def selfcheck_rows(scale: str = "quick"):
+    """(name, passed, seconds, detail) per claim: quick claims at quick size,
+    or every claim at the acceptance scale."""
+    # imported here so that the other subcommands do not load the battery
+    from . import claims
 
-
-def _check_elementary_memberships():
-    for q in range(2, 8):
-        for k in range(q):
-            for m in range(q):
-                f = cons.elementary(cons.a1(k, m), q)
-                assert spectra.is_eigenfunction(f, 1) and f.support_size() == 2 * (q - 1)
-                if k != m:
-                    g = cons.elementary(cons.a2(k, m), q)
-                    assert spectra.is_eigenfunction(g, 1) and g.support_size() == 2
-        assert spectra.is_eigenfunction(cons.elementary(cons.a3(), q), 0)
-        for m in range(q):
-            h = cons.elementary(cons.a4(m), q)
-            assert spectra.in_direct_sum(h, 0, 1) and h.support_size() == 1
-
-
-def _check_family_constructions(rng, qs=(3, 4), n_max=3, draws=3):
-    for q in qs:
-        for n in range(1, n_max + 1):
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    for _ in range(draws):
-                        if i + j <= n:
-                            f = cons.build_F1(n, q, i, j, _random_f1(n, q, i, j, rng))
-                            expect = cons.f1_support_size(n, q, i, j)
-                        else:
-                            f = cons.build_F2(n, q, i, j, _random_f2(n, q, i, j, rng))
-                            expect = cons.f2_support_size(n, q, i, j)
-                        assert f.support_size() == expect
-                        assert spectra.in_direct_sum(f, i, j)
-
-
-def _random_f1(n, q, i, j, rng):
-    out = [cons.a1(rng.randrange(q), rng.randrange(q)) for _ in range(i)]
-    out += [cons.a3() for _ in range(n - i - j)]
-    out += [cons.a4(rng.randrange(q)) for _ in range(j - i)]
-    return out
-
-
-def _random_f2(n, q, i, j, rng):
-    out = [cons.a1(rng.randrange(q), rng.randrange(q)) for _ in range(n - j)]
-    for _ in range(i + j - n):
-        k = rng.randrange(q)
-        m = rng.randrange(q - 1)
-        out.append(cons.a2(k, m if m < k else m + 1))
-    out += [cons.a4(rng.randrange(q)) for _ in range(j - i)]
-    return out
-
-
-def _check_projector_algebra(rng, configs=((2, 3), (3, 3), (2, 4), (3, 4))):
-    for n, q in configs:
-        raw = GridFunction(
-            n, q, tuple(Fraction(rng.randint(-9, 9)) for _ in range(q**n))
-        )
-        parts = spectra.decompose(raw)
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        assert total == raw
-        for i, part in enumerate(parts):
-            assert spectra.is_eigenfunction(part, i)
-            again = spectra.decompose(part)
-            for j, piece in enumerate(again):
-                assert piece == (part if j == i else GridFunction.zero(n, q))
-        for i in range(n + 1):
-            assert spectra.eigenspace_dimension(n, q, i) == spectra.krawtchouk(n, q, i, 0)
-
-
-def _check_slice_descent(rng, configs=((2, 3), (3, 3), (2, 4), (3, 4)), rounds=10):
-    for n, q in configs:
-        for _ in range(rounds):
-            lo = rng.randint(0, n)
-            hi = rng.randint(lo, n)
-            f = _random_member(n, q, lo, hi, rng)
-            r = rng.randrange(n)
-            assert reduction.check_lemma_reduction(f, lo, hi, r).passed
-            ineq = reduction.support_lower_bound_inequality(f, r)
-            if ineq.precondition_ok:
-                assert ineq.passed
-
-
-def _check_partition_and_uniformity(rng):
-    # F1 products are uniform; F2 products are not (their a2 coordinate has
-    # two distinct nonzero slices once q >= 3)
-    for n, q in ((2, 3), (3, 3), (3, 4)):
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                if i + j <= n:
-                    f = cons.build_F1(n, q, i, j, _random_f1(n, q, i, j, rng))
-                    assert reduction.is_uniform(f).uniform
-                else:
-                    f = cons.build_F2(n, q, i, j, _random_f2(n, q, i, j, rng))
-                    assert not reduction.is_uniform(f).uniform
-                for r in range(n):
-                    total = sum(p.support_size() for p in reduction.slices(f, r))
-                    assert total == f.support_size()
-
-
-def _check_minimality_quick():
-    expectations = [(2, 3, 1, 1, 4), (2, 3, 0, 1, 3), (2, 3, 1, 2, 2)]
-    expectations += [(1, q, 1, 1, 2) for q in (3, 4, 5)]
-    for n, q, lo, hi, value in expectations:
-        report = search.verify_lower_bound(n, q, lo, hi)
-        assert report.conclusive and report.holds, (n, q, lo, hi)
-        assert report.bound.value == value
-
-
-def _check_fixture_g():
-    for q in (4, 5, 6):
-        g = cons.counterexample_g(q)
-        assert g.support_size() == 2
-        assert spectra.in_direct_sum(g, 1, 2)
-        left = cons.elementary(cons.a2(0, q - 1), q).tensor(
-            cons.elementary(cons.a4(0), q)
-        )
-        right = cons.elementary(cons.a4(q - 1), q).tensor(
-            cons.elementary(cons.a2(0, q - 1), q)
-        )
-        assert g == left + right
-        status = chz.factorize(g, 1, 2).status
-        assert status is chz.FactorizeStatus.UNCHARACTERIZED_REGIME
-
-
-def _check_fixture_h():
-    h = cons.counterexample_h()
-    assert h.support_size() == 12
-    assert spectra.is_eigenfunction(h, 2)
-    assert cons.min_support_bound(3, 4, 2, 2).value == 12
-    assert chz.factorize(h, 2, 2).status is chz.FactorizeStatus.NOT_IN_FAMILY
-
-
-def _check_fixture_v():
-    v = cons.counterexample_v()
-    assert v.support_size() == 6
-    assert spectra.is_eigenfunction(v, 2)
-    bound = cons.min_support_bound(3, 3, 2, 2)
-    assert bound.value == 8 and not bound.valid
-    assert v.support_size() < bound.value
-
-
-def _check_roundtrips(rng, rounds=10):
-    for _ in range(rounds):
-        q = rng.choice((3, 4, 5))
-        n = rng.randint(1, 3)
-        i = rng.randint(0, n)
-        j = rng.randint(i, n)
-        c = Fraction(rng.choice((1, 2, -1, -3)), rng.choice((1, 2)))
-        if i + j <= n:
-            f = cons.build_F1(n, q, i, j, _random_f1(n, q, i, j, rng), c)
-        elif i == j:
-            f = cons.build_F2(n, q, i, j, _random_f2(n, q, i, j, rng), c)
-        else:
-            continue
-        sigma = list(range(n))
-        rng.shuffle(sigma)
-        g = f.permute(tuple(sigma))
-        result = chz.factorize(g, i, j)
-        assert result.status is chz.FactorizeStatus.CERTIFIED
-        assert result.certificate.matches(g)
-
-
-def _check_tensor_additivity(rng, rounds=10):
-    for _ in range(rounds):
-        q = rng.choice((3, 4))
-        m = rng.randint(1, 2)
-        n = rng.randint(1, 2)
-        i = rng.randint(0, m)
-        j = rng.randint(0, n)
-        f = _random_member(m, q, i, i, rng)
-        g = _random_member(n, q, j, j, rng)
-        assert spectra.eigenvalue(m, q, i) + spectra.eigenvalue(n, q, j) == \
-            spectra.eigenvalue(m + n, q, i + j)
-        assert spectra.is_eigenfunction(f.tensor(g), i + j)
-
-
-def _check_minimality_full():
-    for n, q, lo, hi, value in ((2, 4, 1, 1, 6), (3, 3, 0, 1, 9), (2, 5, 1, 1, 8)):
-        report = search.verify_lower_bound(n, q, lo, hi)
-        assert report.conclusive and report.holds
-        assert report.bound.value == value
-
-
-def _check_open_regime_minimum():
-    report = search.find_minimum(3, 3, 2, 2)
-    assert report.conclusive and report.minimum == 6
-    assert report.witness.support_size() == 6
-    assert spectra.in_direct_sum(report.witness, 2, 2)
-
-
-def _check_uniform_bound():
-    for n, q in ((2, 3), (2, 4), (3, 3)):
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                if i + j < n:
-                    continue
-                report = search.find_minimum(n, q, i, j)
-                assert report.conclusive
-                if reduction.is_uniform(report.witness).uniform:
-                    assert report.minimum >= cons.uniform_support_bound(n, q, i, j)
-
-
-QUICK_CHECKS = [
-    ("elementary memberships (q <= 7)", lambda rng: _check_elementary_memberships()),
-    ("product families: support and membership", _check_family_constructions),
-    ("projector algebra", _check_projector_algebra),
-    ("slice descent rules", _check_slice_descent),
-    ("slice partition and uniformity of products", _check_partition_and_uniformity),
-    ("exhaustive minimality, small instances", lambda rng: _check_minimality_quick()),
-    ("sharpness fixture g (q = 4, 5, 6)", lambda rng: _check_fixture_g()),
-    ("sharpness fixture h (q = 4)", lambda rng: _check_fixture_h()),
-    ("sharpness fixture v (q = 3)", lambda rng: _check_fixture_v()),
-    ("factorization round-trips", _check_roundtrips),
-    ("tensor eigen additivity", _check_tensor_additivity),
-]
-
-FULL_CHECKS = [
-    ("exhaustive minimality, larger instances", lambda rng: _check_minimality_full()),
-    ("minimum in U_[2,2](3,3) is 6, below the formula", lambda rng: _check_open_regime_minimum()),
-    ("uniform-function bound on search witnesses", lambda rng: _check_uniform_bound()),
-]
-
-
-def selfcheck_rows(scale: str = "quick", seed: int = 20240923):
-    checks = list(QUICK_CHECKS)
-    if scale == "full":
-        checks += FULL_CHECKS
+    full = scale == "full"
     rows = []
-    for name, fn in checks:
-        rng = random.Random(seed)
+    for claim in claims.CLAIMS:
+        if not (full or claim.quick):
+            continue
         start = time.perf_counter()
         try:
-            fn(rng)
+            claim.check(random.Random(claims.SEED), full)
             passed, detail = True, ""
-        except AssertionError as exc:
+        except claims.ClaimFailure as exc:
             passed, detail = False, str(exc)
-        rows.append((name, passed, time.perf_counter() - start, detail))
+        except Exception as exc:  # a library error fails the row, not the run
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        rows.append((claim.name, passed, time.perf_counter() - start, detail))
     return rows
 
 

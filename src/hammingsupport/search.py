@@ -37,7 +37,7 @@ from itertools import permutations, product
 from math import factorial, gcd
 from typing import Optional
 
-from .core import GridFunction, all_words, word_to_index
+from .core import GridFunction, all_words, exceeds_vertex_cap, word_to_index
 from . import spectra
 from .constructions import build_F1, build_F2, min_support_bound, SupportBound
 
@@ -97,10 +97,13 @@ class LowerBoundReport:
 
 
 def _check_scale(n: int, q: int) -> int:
-    size = q**n
-    if size > MAX_SEARCH_VERTICES:
-        raise spectra.ScaleError(f"q^n = {size} too large for the rank-test oracle")
-    return size
+    """q^n, or ScaleError above the search cap; no huge power is formed."""
+    if exceeds_vertex_cap(n, q) or q**n > MAX_SEARCH_VERTICES:
+        raise spectra.ScaleError(
+            f"q^n = {q}^{n} too large for the rank-test oracle "
+            f"(cap {MAX_SEARCH_VERTICES} vertices)"
+        )
+    return q**n
 
 
 @lru_cache(maxsize=8)
@@ -302,9 +305,10 @@ def exists_with_support_at_most(
     chosen, coeff = hit
     witness = _witness_from_kernel(chosen, coeff, n, q)
     # re-validate through the membership test before reporting
-    assert not witness.is_zero()
-    assert witness.support_size() <= s
-    assert spectra.in_direct_sum(witness, lo, hi)
+    if witness.is_zero() or witness.support_size() > s:
+        raise RuntimeError(f"kernel vector of support {witness.support_size()}, not 1..{s}")
+    if not spectra.in_direct_sum(witness, lo, hi):
+        raise RuntimeError(f"kernel vector is not in U_[{lo},{hi}]({n},{q})")
     return SearchOutcome(SearchStatus.FOUND, witness, witness.support_size(), tests)
 
 
@@ -316,7 +320,8 @@ def find_minimum(
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> MinimumReport:
     """Smallest support of a nonzero member of U_[lo,hi](n,q), by linear search."""
-    ceiling = budget.max_support if budget.max_support is not None else q**n
+    size = _check_scale(n, q)
+    ceiling = budget.max_support if budget.max_support is not None else size
     total = 0
     for s in range(1, ceiling + 1):
         remaining = None
@@ -330,7 +335,8 @@ def find_minimum(
         outcome = exists_with_support_at_most(n, q, lo, hi, s, step)
         total += outcome.subsets_examined
         if outcome.status is SearchStatus.FOUND:
-            assert outcome.min_found == s  # s-1 was exhausted already
+            if outcome.min_found != s:  # s-1 was exhausted already
+                raise RuntimeError(f"witness of support {outcome.min_found} at s = {s}")
             return MinimumReport(s, outcome.witness, s, s, True, total)
         if outcome.status is SearchStatus.BUDGET_EXCEEDED:
             return MinimumReport(None, None, s, None, False, total)

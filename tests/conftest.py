@@ -1,5 +1,8 @@
 """Shared helpers: seeded random instances and independent oracles.
 
+The random instance generators live in `hammingsupport.claims` and are
+re-exported here.
+
 The oracles deliberately avoid the library's optimized code paths:
 adjacency goes through explicit neighbor lists, and eigenspace projection
 through Lagrange interpolation in the adjacency operator, so agreement with
@@ -10,55 +13,14 @@ from fractions import Fraction
 
 import pytest
 
-from hammingsupport import (
-    GridFunction,
-    a1,
-    a2,
-    a3,
-    a4,
-    build_F1,
-    build_F2,
-    eigenvalue,
-    neighbors,
-    project_span,
+from hammingsupport import GridFunction, eigenvalue, neighbors
+from hammingsupport.claims import (  # noqa: F401  re-exported for the test modules
+    random_f1_factors,
+    random_f2_factors,
+    random_family_instance,
+    random_member,
+    random_values,
 )
-
-
-def random_values(n, q, rng, low=-9, high=9):
-    return GridFunction(
-        n, q, tuple(Fraction(rng.randint(low, high)) for _ in range(q**n))
-    )
-
-
-def random_member(n, q, lo, hi, rng):
-    """A nonzero integer-valued member of U_[lo,hi](n,q)."""
-    while True:
-        f = project_span(random_values(n, q, rng), lo, hi).scale(q**n)
-        if not f.is_zero():
-            return f
-
-
-def random_f1_factors(n, q, i, j, rng):
-    out = [a1(rng.randrange(q), rng.randrange(q)) for _ in range(i)]
-    out += [a3() for _ in range(n - i - j)]
-    out += [a4(rng.randrange(q)) for _ in range(j - i)]
-    return out
-
-
-def random_f2_factors(n, q, i, j, rng):
-    out = [a1(rng.randrange(q), rng.randrange(q)) for _ in range(n - j)]
-    for _ in range(i + j - n):
-        k = rng.randrange(q)
-        m = rng.randrange(q - 1)
-        out.append(a2(k, m if m < k else m + 1))
-    out += [a4(rng.randrange(q)) for _ in range(j - i)]
-    return out
-
-
-def random_family_instance(n, q, i, j, rng, c=1):
-    if i + j <= n:
-        return build_F1(n, q, i, j, random_f1_factors(n, q, i, j, rng), c)
-    return build_F2(n, q, i, j, random_f2_factors(n, q, i, j, rng), c)
 
 
 def naive_adjacency(f):

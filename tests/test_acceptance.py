@@ -1,307 +1,17 @@
-"""Acceptance battery: every criterion at its stated scale, all exact.
+"""Acceptance battery: every claim of `hammingsupport.claims` at its stated scale.
 
-Each test prints one summary line; tolerances are zero everywhere (exact
-rational arithmetic), so every comparison is ==, never approximate.
+The claims are the ones `hammingsupport selfcheck --scale full` runs; each
+gets a fresh generator seeded like selfcheck, so a failure reproduces there.
+Tolerances are zero everywhere (exact rational arithmetic).
 """
 
 import random
-import time
-from fractions import Fraction
-from math import comb
 
-from hammingsupport import (
-    GridFunction,
-    SearchStatus,
-    a4,
-    build_F1,
-    build_F2,
-    check_lemma_reduction,
-    check_lemma_vanishing_slices,
-    counterexample_g,
-    counterexample_h,
-    counterexample_v,
-    decompose,
-    eigenspace_dimension,
-    eigenvalue,
-    elementary,
-    exists_with_support_at_most,
-    f1_support_size,
-    f2_support_size,
-    factorize,
-    find_minimum,
-    in_direct_sum,
-    is_eigenfunction,
-    is_uniform,
-    krawtchouk,
-    min_support_bound,
-    support_lower_bound_inequality,
-    uniform_support_bound,
-    verify_lower_bound,
-)
-from hammingsupport import a2 as make_a2
-from hammingsupport.characterize import FactorizeStatus
+import pytest
 
-from conftest import (
-    random_f1_factors,
-    random_f2_factors,
-    random_family_instance,
-    random_member,
-    random_values,
-)
+from hammingsupport.claims import CLAIMS, SEED
 
 
-def _report(name, detail):
-    print(f"PASS {name}: {detail}")
-
-
-def test_criterion_01_construction_membership_and_support():
-    # both regimes, n <= 4, q in {3,4,5}, 25 randomized factor draws each
-    rng = random.Random(101)
-    start = time.perf_counter()
-    checked = 0
-    for q in (3, 4, 5):
-        for n in range(1, 5):
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    balanced = i + j <= n
-                    expected = (
-                        f1_support_size(n, q, i, j)
-                        if balanced
-                        else f2_support_size(n, q, i, j)
-                    )
-                    for _ in range(25):
-                        if balanced:
-                            f = build_F1(n, q, i, j, random_f1_factors(n, q, i, j, rng))
-                        else:
-                            f = build_F2(n, q, i, j, random_f2_factors(n, q, i, j, rng))
-                        assert f.support_size() == expected, (n, q, i, j)
-                        assert in_direct_sum(f, i, j), (n, q, i, j)
-                        checked += 1
-    _report(
-        "criterion 1 (family construction membership + support)",
-        f"{checked} instances in {time.perf_counter() - start:.1f}s",
-    )
-
-
-def test_criterion_02_elementary_memberships():
-    from hammingsupport import a1, a2, a3
-
-    checked = 0
-    for q in range(2, 8):
-        for k in range(q):
-            for m in range(q):
-                f = elementary(a1(k, m), q)
-                assert is_eigenfunction(f, 1) and f.support_size() == 2 * (q - 1)
-                checked += 1
-                if k != m:
-                    g = elementary(a2(k, m), q)
-                    assert is_eigenfunction(g, 1) and g.support_size() == 2
-                    checked += 1
-        assert is_eigenfunction(elementary(a3(), q), 0)
-        for m in range(q):
-            h = elementary(a4(m), q)
-            assert in_direct_sum(h, 0, 1) and h.support_size() == 1
-            checked += 1
-    _report("criterion 2 (elementary memberships, q <= 7)", f"{checked} functions")
-
-
-def test_criterion_03_projector_algebra():
-    rng = random.Random(103)
-    start = time.perf_counter()
-    for q in (2, 3, 4, 5):
-        for n in range(1, 5):
-            f = random_values(n, q, rng)
-            parts = decompose(f)
-            total = parts[0]
-            for p in parts[1:]:
-                total = total + p
-            assert total == f  # sum of projectors is the identity
-            for i, part in enumerate(parts):
-                assert is_eigenfunction(part, i)  # A E_i = lambda_i E_i
-                for j, piece in enumerate(decompose(part)):
-                    expected = part if j == i else GridFunction.zero(n, q)
-                    assert piece == expected  # idempotent / annihilating
-                assert eigenspace_dimension(n, q, i) == comb(n, i) * (q - 1) ** i
-                assert eigenspace_dimension(n, q, i) == krawtchouk(n, q, i, 0)
-            assert sum(eigenspace_dimension(n, q, i) for i in range(n + 1)) == q**n
-    _report(
-        "criterion 3 (projector algebra, n <= 4, q <= 5)",
-        f"{time.perf_counter() - start:.1f}s",
-    )
-
-
-def test_criterion_04_reduction_lemmas():
-    rng = random.Random(104)
-    start = time.perf_counter()
-    rounds = 200
-    inequality_hits = 0
-    for q in (2, 3, 4, 5):
-        for n in (2, 3, 4):
-            ranges = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
-            for t in range(rounds):
-                lo, hi = ranges[t % len(ranges)]
-                f = random_member(n, q, lo, hi, rng)
-                r = t % n
-                report = check_lemma_reduction(f, lo, hi, r)
-                assert report.passed, (n, q, lo, hi, r, report)
-                ineq = support_lower_bound_inequality(f, r)
-                if ineq.precondition_ok:
-                    inequality_hits += 1
-                    assert ineq.passed
-            # vanishing-slices rule on constructed instances
-            for lo in range(n):
-                for hi in range(lo, n):
-                    inner = random_member(n - 1, q, lo, hi, rng)
-                    m = rng.randrange(q)
-                    f = inner.tensor(elementary(a4(m), q))
-                    report = check_lemma_vanishing_slices(f, lo, hi + 1, n - 1, m)
-                    assert report.passed, (n, q, lo, hi, m)
-            # equal-slice instances keep the inequality check non-vacuous
-            inner = random_member(n - 1, q, 0, n - 1, rng)
-            f = GridFunction.constant(1, q, 1).tensor(inner)
-            ineq = support_lower_bound_inequality(f, 0)
-            assert ineq.precondition_ok and ineq.passed
-            inequality_hits += 1
-    _report(
-        "criterion 4 (slice reduction rules, 200 random members per (n,q))",
-        f"inequality applicable {inequality_hits} times, "
-        f"{time.perf_counter() - start:.1f}s",
-    )
-
-
-def test_criterion_05_exhaustive_minimality():
-    start = time.perf_counter()
-    cases = [(2, 3, 1, 1, 4), (2, 3, 0, 1, 3), (2, 4, 1, 1, 6), (2, 3, 1, 2, 2),
-             (3, 3, 0, 1, 9)]
-    cases += [(1, q, 1, 1, 2) for q in range(2, 8)]
-    tests_total = 0
-    for n, q, lo, hi, value in cases:
-        report = verify_lower_bound(n, q, lo, hi)
-        assert report.conclusive and report.holds, (n, q, lo, hi)
-        assert report.bound.value == value
-        assert report.witness_support == value
-        tests_total += report.subsets_examined
-    _report(
-        "criterion 5 (exhaustive minimality at listed instances)",
-        f"{tests_total} rank tests in {time.perf_counter() - start:.1f}s",
-    )
-
-
-def test_criterion_06_open_regime_minimum_is_six():
-    start = time.perf_counter()
-    below = exists_with_support_at_most(3, 3, 2, 2, 5)
-    assert below.status is SearchStatus.EXHAUSTED  # exhaustion at s = 5 completes
-    report = find_minimum(3, 3, 2, 2)
-    assert report.conclusive and report.minimum == 6
-    assert report.witness.support_size() == 6
-    assert in_direct_sum(report.witness, 2, 2)
-    v = counterexample_v()
-    assert v.support_size() == 6
-    assert is_eigenfunction(v, 2)
-    _report(
-        "criterion 6 (minimum support 6 in U_[2,2](3,3))",
-        f"exhaustion at 5 took {below.subsets_examined} rank tests, "
-        f"search total {report.subsets_examined}, "
-        f"{time.perf_counter() - start:.1f}s",
-    )
-
-
-def test_criterion_07_fixture_h():
-    h = counterexample_h()
-    assert h.support_size() == 12
-    assert is_eigenfunction(h, 2)
-    assert min_support_bound(3, 4, 2, 2).value == 12
-    result = factorize(h, 2, 2)
-    assert result.status is FactorizeStatus.NOT_IN_FAMILY
-    _report("criterion 7 (h: support 12, in U_2(3,4), rejected by factorizer)", "ok")
-
-
-def test_criterion_08_fixture_g():
-    for q in (4, 5, 6):
-        g = counterexample_g(q)
-        assert g.support_size() == 2
-        assert in_direct_sum(g, 1, 2)
-        left = elementary(make_a2(0, q - 1), q).tensor(elementary(a4(0), q))
-        right = elementary(a4(q - 1), q).tensor(elementary(make_a2(0, q - 1), q))
-        assert g == left + right
-        result = factorize(g, 1, 2)
-        assert result.status is FactorizeStatus.UNCHARACTERIZED_REGIME
-    _report("criterion 8 (g: support 2, decomposition identity, open regime)", "q in {4,5,6}")
-
-
-def test_criterion_09_characterizer_round_trip():
-    rng = random.Random(109)
-    start = time.perf_counter()
-    done = 0
-    while done < 100:
-        q = rng.choice((3, 4, 5))
-        n = rng.randint(1, 4)
-        i = rng.randint(0, n)
-        j = rng.randint(i, n)
-        if i + j > n and i != j:
-            continue
-        c = Fraction(rng.choice((1, -1, 2, -3, 5, 7)), rng.choice((1, 2, 3)))
-        f = random_family_instance(n, q, i, j, rng, c)
-        sigma = list(range(n))
-        rng.shuffle(sigma)
-        g = f.permute(tuple(sigma))
-        result = factorize(g, i, j)
-        assert result.status is FactorizeStatus.CERTIFIED, (n, q, i, j)
-        assert result.certificate.matches(g)
-        # permutation equivariance
-        tau = list(range(n))
-        rng.shuffle(tau)
-        again = factorize(g.permute(tuple(tau)), i, j)
-        assert again.status is FactorizeStatus.CERTIFIED
-        done += 1
-    _report(
-        "criterion 9 (100 factorization round-trips + equivariance)",
-        f"{time.perf_counter() - start:.1f}s",
-    )
-
-
-def test_criterion_10_tensor_additivity():
-    rng = random.Random(110)
-    checked = 0
-    for q in (2, 3, 4, 5):
-        for m, n in ((1, 1), (1, 2), (2, 2), (1, 3)):
-            for i in range(m + 1):
-                for j in range(n + 1):
-                    assert eigenvalue(m, q, i) + eigenvalue(n, q, j) == eigenvalue(
-                        m + n, q, i + j
-                    )
-                    f = random_member(m, q, i, i, rng)
-                    g = random_member(n, q, j, j, rng)
-                    assert is_eigenfunction(f.tensor(g), i + j)
-                    checked += 1
-    _report("criterion 10 (tensor products add eigenspace indices)", f"{checked} pairs")
-
-
-def test_criterion_11_uniform_regime_bound():
-    start = time.perf_counter()
-    for n, q in ((2, 3), (2, 4), (3, 3)):
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                if i + j < n:
-                    continue
-                report = find_minimum(n, q, i, j)
-                assert report.conclusive
-                if is_uniform(report.witness).uniform:
-                    assert report.minimum >= uniform_support_bound(n, q, i, j), (
-                        n, q, i, j,
-                    )
-    # F1 instances at n = i + j meet the uniform bound with equality
-    rng = random.Random(111)
-    for q in (3, 4, 5):
-        for n in range(1, 5):
-            for i in range(n + 1):
-                j = n - i
-                if j < i:
-                    continue
-                f = build_F1(n, q, i, j, random_f1_factors(n, q, i, j, rng))
-                assert is_uniform(f).uniform
-                assert f.support_size() == uniform_support_bound(n, q, i, j)
-    _report(
-        "criterion 11 (uniform-function bound)",
-        f"{time.perf_counter() - start:.1f}s",
-    )
+@pytest.mark.parametrize("claim", CLAIMS, ids=[claim.name for claim in CLAIMS])
+def test_claim(claim):
+    claim.check(random.Random(SEED), True)

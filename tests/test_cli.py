@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 from hammingsupport import (
     GridFunction,
@@ -10,6 +15,7 @@ from hammingsupport import (
     write_hgf,
 )
 from hammingsupport.cli import main, selfcheck_rows
+import hammingsupport.claims as claims
 import hammingsupport.spectra as spectra_module
 
 
@@ -93,6 +99,21 @@ class TestGen:
     def test_missing_argument_exit_1(self, capsys):
         code, _, stderr = run(capsys, "gen", "--family", "f1", "--n", "2")
         assert code == 1
+
+    def test_oversized_shape_rejected(self, capsys):
+        # each is refused before anything of size q^n is built
+        for argv in (
+            ("--family", "f1", "--n", "40", "--q", "10", "--i", "1", "--j", "1"),
+            ("--family", "f2", "--n", "17", "--q", "2", "--i", "9", "--j", "9"),
+            ("--family", "a1", "--q", "100000000", "--k", "1", "--m", "1"),
+            ("--family", "a4", "--q", "70000", "--m", "0"),
+            ("--family", "counterexample-g", "--q", "300"),
+        ):
+            code, stdout, stderr = run(capsys, "gen", *argv)
+            assert code == 1, argv
+            assert stdout == ""
+            assert stderr.startswith("error: q^n = ") and "vertex cap" in stderr
+            assert stderr.count("\n") == 1
 
 
 class TestVerify:
@@ -244,6 +265,16 @@ class TestMinsupport:
         assert code == 2
         assert json.loads(stdout)["conclusive"] is False
 
+    def test_oversized_shape_rejected(self, capsys):
+        # 10^3000000 is never formed: the cap is checked one factor of q at a time
+        code, stdout, stderr = run(
+            capsys, "minsupport", "--n", "3000000", "--q", "10", "--lo", "0", "--hi", "0",
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: q^n = 10^3000000 too large")
+        assert stderr.count("\n") == 1
+
     def test_no_prune_same_answer(self, capsys):
         code, stdout, _ = run(
             capsys, "minsupport", "--n", "2", "--q", "3", "--lo", "1", "--hi", "1",
@@ -314,11 +345,49 @@ class TestSelfcheck:
         rows = json.loads(stdout)
         assert rows and all(row["passed"] for row in rows)
 
-    def test_full_scale_all_pass(self, capsys):
-        code, stdout, _ = run(capsys, "selfcheck", "--scale", "full", "--json")
-        assert code == 0
-        rows = json.loads(stdout)
-        assert len(rows) > 11 and all(row["passed"] for row in rows)
+    def test_scale_wiring(self, monkeypatch, capsys):
+        # the claims themselves run at full scale in test_acceptance.py
+        calls = []
+
+        def recorder(name):
+            return lambda rng, full: calls.append((name, full))
+
+        stubs = tuple(replace(c, check=recorder(c.name)) for c in claims.CLAIMS)
+        monkeypatch.setattr(claims, "CLAIMS", stubs)
+        names = [c.name for c in stubs]
+        assert len(names) == 14
+        for scale, full, expected in (("full", True, names), ("quick", False, names[:11])):
+            calls.clear()
+            code, stdout, _ = run(capsys, "selfcheck", "--scale", scale, "--json")
+            assert code == 0
+            assert calls == [(name, full) for name in expected]
+            rows = json.loads(stdout)
+            assert [row["name"] for row in rows] == expected
+            assert all(
+                set(row) == {"name", "passed", "seconds", "detail"} and row["passed"]
+                for row in rows
+            )
+
+    def test_failing_claim_exit_1(self, monkeypatch, capsys):
+        def broken(rng, full):
+            claims.require(False, "instance (2, 3, 1, 1)")
+
+        def crashing(rng, full):
+            raise RuntimeError("kernel vector is not in U_[2,2](3,3)")
+
+        stubs = [replace(c, check=lambda rng, full: None) for c in claims.CLAIMS]
+        stubs[3] = replace(stubs[3], check=broken)
+        stubs[5] = replace(stubs[5], check=crashing)
+        monkeypatch.setattr(claims, "CLAIMS", tuple(stubs))
+        code, stdout, _ = run(capsys, "selfcheck")
+        assert code == 1
+        lines = stdout.splitlines()
+        assert len(lines) == 11
+        assert lines[3].startswith(stubs[3].name)
+        assert lines[3].endswith("FAIL instance (2, 3, 1, 1)")
+        # a library error fails its row and the battery goes on
+        assert lines[5].endswith("FAIL RuntimeError: kernel vector is not in U_[2,2](3,3)")
+        assert all(line.endswith("pass") for i, line in enumerate(lines) if i not in (3, 5))
 
     def test_tampered_library_fails(self, monkeypatch, capsys):
         # sanity of the harness: break one primitive, expect red rows
@@ -327,3 +396,20 @@ class TestSelfcheck:
         )
         rows = selfcheck_rows("quick")
         assert any(not passed for _, passed, _, _ in rows)
+
+    def test_tampered_library_fails_under_optimize(self):
+        # python -O strips assert statements; the claims must still fail
+        script = (
+            "import hammingsupport.spectra as spectra\n"
+            "spectra.is_eigenfunction = lambda f, i: False\n"
+            "from hammingsupport.cli import selfcheck_rows\n"
+            "print(sum(not passed for _, passed, _, _ in selfcheck_rows('quick')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert int(done.stdout) > 0
