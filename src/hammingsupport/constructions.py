@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import GridFunction, validate_alphabet
+from .core import GridFunction, power_exceeds, validate_alphabet
 
 
 class RegimeError(ValueError):
@@ -222,6 +222,11 @@ def f2_support_size(n: int, q: int, i: int, j: int) -> int:
 # -- minimum-support bounds ---------------------------------------------------
 
 
+# Bound values are at most q^n; above 2^MAX_BOUND_BITS they are refused, which
+# keeps them well under Python's 4300-digit limit on printing an int.
+MAX_BOUND_BITS = 4096
+
+
 class Regime(enum.Enum):
     BALANCED = "balanced"          # i + j <= n: bound proven for q >= 3
     OVERLOADED = "overloaded"      # i + j > n, q >= 4: bound proven
@@ -255,6 +260,9 @@ def min_support_bound(n: int, q: int, i: int, j: int) -> SupportBound:
     validate_alphabet(q)
     if not 0 <= i <= j <= n:
         raise ValueError(f"need 0 <= i <= j <= n, got i={i}, j={j}, n={n}")
+    # every formula value is at most q^n; check that before forming a power
+    if power_exceeds(q, n, 2**MAX_BOUND_BITS):
+        raise ValueError(f"q^n = {q}^{n} exceeds 2^{MAX_BOUND_BITS}, the cap on bound values")
     uniform_value = uniform_support_bound(n, q, i, j) if (i + j >= n and q >= 3) else None
     if i + j <= n:
         value = f1_support_size(n, q, i, j)

@@ -50,14 +50,19 @@ def validate_word(word: Sequence[int], q: int) -> None:
             raise ValueError(f"symbol {s} out of range for alphabet size {q}")
 
 
-def exceeds_vertex_cap(n: int, q: int) -> bool:
-    """Whether q^n > MAX_VERTICES, decided without forming a huge power (q >= 2)."""
-    size = 1
+def power_exceeds(q: int, n: int, limit: int) -> bool:
+    """Whether q^n > limit, decided without forming a power far above limit (q >= 2)."""
+    value = 1
     for _ in range(n):
-        size *= q
-        if size > MAX_VERTICES:
+        value *= q
+        if value > limit:
             return True
     return False
+
+
+def exceeds_vertex_cap(n: int, q: int) -> bool:
+    """Whether q^n > MAX_VERTICES, decided without forming a huge power (q >= 2)."""
+    return power_exceeds(q, n, MAX_VERTICES)
 
 
 def word_to_index(word: Sequence[int], q: int) -> int:

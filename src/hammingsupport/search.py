@@ -14,15 +14,61 @@ so the decision "does some nonzero f in U_[lo,hi] have support of size <= s"
 reduces to hunting for a dependent column subset of size <= s.  Subsets are
 enumerated depth-first in increasing index order with the all-zero word
 pinned into S (the graph is vertex-transitive and the subspace is invariant
-under all automorphisms), maintaining an incremental fraction-free
-elimination of the chosen columns; a dependency immediately yields an
-integer kernel vector, which is returned as the witness after re-validation
-through the membership test of `spectra`.
+under all automorphisms); a dependency immediately yields an integer kernel
+vector, which is returned as the witness after re-validation through the
+membership test of `spectra`.
 
-Optional orbit pruning skips sets that some automorphism fixing the zero
-word maps to a lexicographically smaller set.  Every orbit keeps its
-lexicographically minimal representative (minimality is inherited by
-prefixes), so pruning never changes any decision, only the node count.
+Rank tests on the Gram minor.  P is a symmetric idempotent, so M is
+symmetric and M^2 = q^n M.  The Gram matrix of the columns indexed by S is
+therefore M[:,S]^T M[:,S] = q^n M[S,S], and those columns are dependent
+exactly when the k x k principal minor M[S,S] is singular; a vector is in
+the kernel of M[S,S] exactly when it is in the kernel of M[:,S].  Along the
+DFS path S the search keeps an LDL^T factorization of M[S,S]; it exists
+because only candidates with a nonzero pivot are pushed.  Testing a
+candidate x costs one forward substitution, O(k^2) small-integer
+operations: its pivot is the Schur complement M[x,x] - sum of t_i^2 / d_i,
+and det M[S+x,S+x] = det M[S,S] * pivot.  The factorization is kept modulo
+the prime RANK_PRIME < 2^31.  A pivot that is nonzero mod p proves
+det M[S+x,S+x] != 0 over Q (rank mod p never exceeds rank over Q), so every
+exhaustion, and every lower bound, is exact.  A pivot that is zero mod p is
+only a candidate dependency: the factorization of the path is then
+recomputed over Q, where the pivot decides.  A true zero yields the exact
+kernel vector by back-substitution, scaled to be primitive with its first
+entry positive; it spans the one-dimensional kernel of M[:,S+x], so it is
+the same witness any exact elimination finds.  A false alarm (p divides a
+nonzero determinant) leaves x independent; the search goes on in exact
+arithmetic until x leaves the path, whose remaining pivots are all nonzero
+mod p.  So decisions, rank-test counts and witnesses are those of an exact
+search.
+
+Orbit pruning skips sets that some automorphism g fixing the zero word maps
+to a lexicographically smaller set.  Minimality under one map g is
+inherited by prefixes: if sorted g(P) < P for a prefix P of a sorted set S,
+adding elements to P only lowers the order statistics of its image, so
+sorted g(S) < S as well.  Hence the lexicographically least member of every
+orbit is reached together with all its prefixes, and since automorphisms
+preserve the subspace, pruning never changes any decision, only the node
+count.  The same holds for any subset of the stabilizer, which only prunes
+less, so the map count is capped.
+
+Canonicity is decided once per node, not once per child.  Let P be
+the orbit-minimal prefix at a node, T = sorted g(P) >= P, and x > P[-1] a
+child; sorted g(P + [x]) is T with g(x) inserted.  If T == P, it is smaller
+than P + [x] exactly when g(x) < x.  Otherwise let r be the first position
+with T[r] > P[r].  Every child with g(x) < P[r] gives a smaller image, every
+child with g(x) > P[r] a larger one, and the single tie child
+x = g^-1(P[r]) gives P[:r+1] + T[r:], which is smaller exactly when
+T[r:] < P[r+1:] + [x].  The union of these sets over all maps is exactly
+the set of children that are not orbit-minimal.
+
+Most of that work is inherited down the tree.  For sorted sets of equal
+size, A < B exactly when the least element of their symmetric difference
+lies in A.  Below P, every vertex y with g(y) < P[r] stays a non-minimal
+child at every descendant D: under P[r], g(D + [y]) holds P[:r] and g(y),
+while D + [y] holds only P[:r].  A child x the DFS takes with g(x) > P[r]
+leaves r, and so the tie child, as they were.  So each node only revisits
+the maps that fix its prefix and the maps whose tie child it took; a map
+whose tie child falls behind the prefix needs no further work.
 
 Budgets count rank tests, not wall time, so runs are reproducible.
 """
@@ -30,26 +76,27 @@ Budgets count rank tests, not wall time, so runs are reproducible.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from math import factorial, gcd
+from itertools import compress, islice, permutations, product
+from math import factorial, gcd, lcm
+from operator import add, gt, mul
 from typing import Optional
 
-from .core import GridFunction, all_words, exceeds_vertex_cap, word_to_index
+from .core import MAX_VERTICES, GridFunction, exceeds_vertex_cap, validate_alphabet
 from . import spectra
 from .constructions import build_F1, build_F2, min_support_bound, SupportBound
 
-# Full-stabilizer pruning tables above this size fall back to coordinate
-# permutations only (still sound, just weaker pruning).
+# Pruning tables hold at most this many maps, and at most MAX_MAP_ENTRIES
+# map entries in all; a larger stabilizer contributes a deterministic subset
+# (coordinate permutations first), which is sound and only prunes less.
 MAX_STABILIZER = 20_000
+MAX_MAP_ENTRIES = 2**20
 
-# The rank tests read columns from a q^2n-byte distance table, so the search
-# keeps its own, smaller vertex cap.
-MAX_SEARCH_VERTICES = 6000
-
-_BUMP = bytes(min(i + 1, 255) for i in range(256))
+# Rank tests run modulo this prime (2^31 - 1); zeros are confirmed over Q.
+RANK_PRIME = 2_147_483_647
 
 
 class SearchStatus(enum.Enum):
@@ -97,35 +144,30 @@ class LowerBoundReport:
 
 
 def _check_scale(n: int, q: int) -> int:
-    """q^n, or ScaleError above the search cap; no huge power is formed."""
-    if exceeds_vertex_cap(n, q) or q**n > MAX_SEARCH_VERTICES:
+    """q^n, or ScaleError above the vertex cap; no huge power is formed."""
+    validate_alphabet(q)
+    if exceeds_vertex_cap(n, q):
         raise spectra.ScaleError(
-            f"q^n = {q}^{n} too large for the rank-test oracle "
-            f"(cap {MAX_SEARCH_VERTICES} vertices)"
+            f"q^n = {q}^{n} too large for the search (cap {MAX_VERTICES} vertices)"
         )
     return q**n
 
 
 @lru_cache(maxsize=8)
-def _distance_rows(n: int, q: int) -> tuple[bytes, ...]:
-    """rows[x][y] = Hamming distance between the words with indices x, y."""
-    _check_scale(n, q)
-    rows: list[bytes] = [b"\x00"]
-    size = 1
+def _word_codes(n: int, q: int) -> tuple[tuple[int, ...], int, int]:
+    """Packed words, with d(x,y) = popcount(((codes[x] ^ codes[y]) + low) & guard).
+
+    Each symbol takes a field of w = bit_length(q - 1) bits plus a guard
+    bit.  A field of the XOR holds v < 2^w, and v + 2^w - 1 sets the guard
+    bit exactly when v != 0, without a carry into the next field.
+    """
+    w = (q - 1).bit_length()
+    codes = [0]
     for _ in range(n):
-        new_rows: list[bytes] = []
-        for row in rows:
-            expanded = bytearray(size * q)
-            for b in range(q):
-                expanded[b::q] = row
-            bumped = expanded.translate(_BUMP)
-            for a in range(q):
-                block = bytearray(bumped)
-                block[a::q] = row
-                new_rows.append(bytes(block))
-        rows = new_rows
-        size *= q
-    return tuple(rows)
+        codes = [c << (w + 1) | b for c in codes for b in range(q)]
+    low = sum((1 << w) - 1 << p * (w + 1) for p in range(n))
+    guard = sum(1 << w << p * (w + 1) for p in range(n))
+    return tuple(codes), low, guard
 
 
 @lru_cache(maxsize=None)
@@ -136,94 +178,207 @@ def _complement_kernel(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=8)
-def _pruning_maps(n: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Vertex permutations fixing the zero word, as index maps.
+def _pruning_maps(n: int, q: int) -> tuple[tuple[array, array], ...]:
+    """Vertex permutations fixing the zero word, as (map, inverse) pairs.
 
     Coordinate permutations composed with per-coordinate symbol permutations
-    that fix symbol 0; restricted to coordinate permutations alone when the
-    full stabilizer would exceed MAX_STABILIZER.
+    that fix symbol 0.  When that group has more than
+    min(MAX_STABILIZER, MAX_MAP_ENTRIES // q^n) elements, coordinate
+    permutations alone, in lexicographic order, up to that many maps.
+    Identity excluded; each map and inverse is an array of q^n indices, of
+    one byte each up to 256 vertices and two bytes above.
     """
-    words = list(all_words(n, q))
-    maps = []
-    coord_perms = list(permutations(range(n)))
-    if factorial(n) * factorial(q - 1) ** n <= MAX_STABILIZER:
+    size = q**n
+    cap = min(MAX_STABILIZER, MAX_MAP_ENTRIES // size)
+    if factorial(n) * factorial(q - 1) ** n <= cap:
         symbol_perms = [(0,) + rest for rest in permutations(range(1, q))]
         choices = list(product(symbol_perms, repeat=n))
     else:
         choices = [tuple(tuple(range(q)) for _ in range(n))]
-    identity = tuple(range(q**n))
-    for tau in coord_perms:
-        for chs in choices:
-            mapping = tuple(
-                word_to_index(tuple(chs[p][w[tau[p]]] for p in range(n)), q)
-                for w in words
-            )
-            if mapping != identity:
-                maps.append(mapping)
-    return tuple(maps)
+    # digits[j][x] = symbol of word x at coordinate j (0 most significant)
+    weights = [q ** (n - 1 - j) for j in range(n)]
+    digits = [[x // w % q for x in range(size)] for w in weights]
+    typecode = "B" if size <= 256 else "H"  # q^n <= MAX_VERTICES = 2^16
+    identity = array(typecode, range(size))
+    maps: list[array] = []
+    # a generator: product() would materialize all n! permutations
+    group = ((tau, chs) for tau in permutations(range(n)) for chs in choices)
+    for tau, chs in group:
+        if len(maps) == cap:
+            break
+        index = [0] * size
+        for p in range(n):
+            table = [chs[p][b] * weights[p] for b in range(q)]
+            index = list(map(add, index, map(table.__getitem__, digits[tau[p]])))
+        mapping = array(typecode, index)
+        if mapping != identity:
+            maps.append(mapping)
+    return tuple((g, array(typecode, sorted(range(size), key=g.__getitem__))) for g in maps)
 
 
-def _is_orbit_minimal(chosen: list[int], maps) -> bool:
-    for g in maps:
-        image = sorted(g[v] for v in chosen)
-        if image < chosen:
+class _Canon:
+    """Which children of one DFS node are orbit-minimal; see the module docstring.
+
+    `fixers` holds the maps (g, ginv) that fix the prefix setwise.  Every
+    other map g has a first position r where sorted g(prefix) exceeds the
+    prefix; while its tie child t = ginv[prefix[r]] lies ahead, it is kept
+    as (g, ginv, r) in `ties[t]`, and r and t stay put until the DFS takes t.
+    `thresholds` is the union of {y : g(y) < prefix[r]} over every such map,
+    here or at an ancestor.  Each of those vertices stays a non-minimal
+    child all the way down, so the set and the tie buckets are shared with
+    descendants and never mutated.
+    """
+
+    __slots__ = ("prefix", "fixers", "ties", "thresholds", "size", "skip")
+
+    def __init__(self, prefix: list[int], fixers: list, ties: dict, thresholds: frozenset,
+                 size: int):
+        self.prefix = prefix
+        self.fixers = fixers
+        self.ties = ties
+        self.thresholds = thresholds
+        self.size = size
+        last = prefix[-1]
+        children = range(last + 1, size)
+        descents = [
+            compress(children, map(gt, children, islice(g, last + 1, None)))
+            for g, _ in fixers
+        ]
+        self.skip = thresholds.union(*descents) if descents else thresholds
+
+    @classmethod
+    def root(cls, maps: tuple, size: int) -> "_Canon":
+        return cls([0], list(maps), {}, frozenset(), size)
+
+    def allows(self, x: int) -> bool:
+        """Whether prefix + [x] is orbit-minimal, for a child x > prefix[-1]."""
+        if x in self.skip:
             return False
-    return True
+        prefix = self.prefix
+        for g, _, r in self.ties.get(x, ()):
+            image = sorted(map(g.__getitem__, prefix))
+            if image[r:] < prefix[r + 1:] + [x]:
+                return False
+        return True
+
+    def child(self, x: int) -> "_Canon":
+        """The node prefix + [x], for an allowed child x."""
+        prefix = self.prefix + [x]
+        fixers = []
+        moved = []  # maps whose r or tie child changes at this step
+        for pair in self.fixers:
+            g, ginv = pair
+            if g[x] == x:
+                fixers.append(pair)
+            else:  # g(x) > x, since x is allowed
+                moved.append((g, ginv, len(prefix) - 1))
+        for g, ginv, r in self.ties.get(x, ()):  # the tie child was taken
+            image = sorted(map(g.__getitem__, prefix))
+            if image == prefix:
+                fixers.append((g, ginv))
+                continue
+            while image[r] == prefix[r]:
+                r += 1
+            moved.append((g, ginv, r))
+        ties = {t: bucket for t, bucket in self.ties.items() if t > x}
+        new_ties: dict[int, list] = {}
+        thresholds = set(self.thresholds) if moved else self.thresholds
+        for entry in moved:
+            _, ginv, r = entry
+            thresholds.update(ginv[:prefix[r]])
+            tie = ginv[prefix[r]]
+            if tie > x:
+                new_ties.setdefault(tie, []).append(entry)
+        for tie, bucket in new_ties.items():
+            ties[tie] = ties[tie] + bucket if tie in ties else bucket
+        return _Canon(prefix, fixers, ties, frozenset(thresholds), self.size)
 
 
 class _BudgetExceeded(Exception):
     pass
 
 
-class _Eliminator:
-    """Incremental integer column elimination with combination tracking.
+class _GramPath:
+    """LDL^T factorization of the Gram minor M[S,S] along the DFS path S.
 
-    Invariant: every stored column equals the recorded integer combination
-    of the original columns pushed so far; a column reducing to zero hands
-    back its combination, an exact kernel vector.
+    Kept modulo `prime`, or over Q while `modulus` is None: from a false
+    alarm until the path is back to the length it had then.  rows[i] holds
+    row i of the unit lower factor L (entries left of the diagonal) and
+    inverses[i] the reciprocal of the pivot d_i.
     """
 
-    def __init__(self, nrows: int):
-        self.nrows = nrows
-        self.pivots: list[int] = []
-        self.columns: list[list[int]] = []
-        self.coeffs: list[list[int]] = []
+    def __init__(self, n: int, q: int, kappa: tuple[int, ...], prime: int):
+        self.codes, self.low, self.guard = _word_codes(n, q)
+        self.kappa = kappa
+        self.prime = prime
+        self.modulus: Optional[int] = prime
+        self.exact_until = 0  # exact arithmetic while the path is longer
+        self.vertices: list[int] = []
+        self.rows: list[list] = []
+        self.inverses: list = []
 
-    def reduce(self, column: list[int], position: int) -> tuple[list[int], list[int]]:
-        aug = list(column)
-        coeff = [0] * position + [1]
-        for pr, bc, bco in zip(self.pivots, self.columns, self.coeffs):
-            a = aug[pr]
-            if not a:
-                continue
-            p = bc[pr]
-            aug = [x * p - y * a for x, y in zip(aug, bc)]
-            width = max(len(coeff), len(bco))
-            coeff = [
-                (coeff[t] if t < len(coeff) else 0) * p
-                - (bco[t] if t < len(bco) else 0) * a
-                for t in range(width)
-            ]
-            g = 0
-            for v in aug:
-                g = gcd(g, v)
-            for v in coeff:
-                g = gcd(g, v)
-            if g > 1:
-                aug = [v // g for v in aug]
-                coeff = [v // g for v in coeff]
-        return aug, coeff
+    def _extend(self, x: int) -> tuple[list, object]:
+        """(row of L, pivot) for x appended to the path."""
+        p, kappa, codes, low, guard = self.modulus, self.kappa, self.codes, self.low, self.guard
+        cx = codes[x]
+        t: list = []
+        for v, lrow in zip(self.vertices, self.rows):
+            distance = (((codes[v] ^ cx) + low) & guard).bit_count()
+            value = kappa[distance] - sum(map(mul, lrow, t))
+            t.append(value % p if p else value)
+        row = list(map(mul, t, self.inverses))
+        pivot = kappa[0] - sum(map(mul, row, t))
+        if p:
+            return [value % p for value in row], pivot % p
+        return row, pivot
 
-    def push(self, aug: list[int], coeff: list[int]) -> None:
-        pivot = next(t for t, v in enumerate(aug) if v)
-        self.pivots.append(pivot)
-        self.columns.append(aug)
-        self.coeffs.append(coeff)
+    def _refactor(self, modulus: Optional[int]) -> None:
+        path = self.vertices[:]
+        self.modulus = modulus
+        for held in (self.vertices, self.rows, self.inverses):
+            held.clear()  # in place: callers hold self.vertices
+        for v in path:
+            self.push(v, *self._extend(v))
+
+    def test(self, x: int) -> tuple[list, object]:
+        """(row, pivot) for x; pivot == 0 exactly when path + [x] is dependent over Q."""
+        if self.modulus is None and len(self.vertices) <= self.exact_until:
+            # the false alarm has left the path, whose pivots are nonzero mod p
+            self._refactor(self.prime)
+        row, pivot = self._extend(x)
+        if not pivot and self.modulus is not None:
+            # confirm over Q
+            self.exact_until = len(self.vertices)
+            self._refactor(None)
+            row, pivot = self._extend(x)
+        return row, pivot
+
+    def push(self, x: int, row: list, pivot) -> None:
+        self.vertices.append(x)
+        self.rows.append(row)
+        p = self.modulus
+        self.inverses.append(pow(pivot, -1, p) if p else 1 / Fraction(pivot))
 
     def pop(self) -> None:
-        self.pivots.pop()
-        self.columns.pop()
-        self.coeffs.pop()
+        self.vertices.pop()
+        self.rows.pop()
+        self.inverses.pop()
+
+    def kernel(self, row: list) -> list[int]:
+        """Primitive integer c with M[:,S] c[:-1] + c[-1] M[:,x] = 0, over Q.
+
+        `row` is the exact row of a zero pivot: solving L^T c = row gives
+        M[S,S] c = M[S,x].
+        """
+        k = len(row)
+        c: list = [Fraction(0)] * k
+        for i in reversed(range(k)):
+            c[i] = row[i] - sum(self.rows[j][i] * c[j] for j in range(i + 1, k))
+        c.append(Fraction(-1))
+        den = lcm(*(Fraction(v).denominator for v in c))
+        ints = [int(v * den) for v in c]
+        g = gcd(*ints)
+        return [v // g for v in ints]
 
 
 def _witness_from_kernel(
@@ -253,48 +408,42 @@ def exists_with_support_at_most(
     if s <= 0:
         return SearchOutcome(SearchStatus.EXHAUSTED, None, None, 0)
 
-    kernel = _complement_kernel(n, q, lo, hi)
-    rows = _distance_rows(n, q)
+    gram = _GramPath(n, q, _complement_kernel(n, q, lo, hi), RANK_PRIME)
     maps = _pruning_maps(n, q) if budget.symmetry_pruning else ()
     limit = budget.max_subsets
-    elim = _Eliminator(size)
     tests = 0
 
-    def column(x: int) -> list[int]:
-        row = rows[x]
-        return [kernel[row[y]] for y in range(size)]
-
-    def reduce_counted(x: int, position: int) -> tuple[list[int], list[int]]:
+    def test_counted(x: int) -> tuple[list, object]:
         nonlocal tests
         if limit is not None and tests >= limit:
             raise _BudgetExceeded
         tests += 1
-        return elim.reduce(column(x), position)
+        return gram.test(x)
 
-    def descend(chosen: list[int], start: int) -> Optional[tuple[list[int], list[int]]]:
+    def descend(start: int, canon: _Canon) -> Optional[tuple[list[int], list[int]]]:
+        path = gram.vertices
         for x in range(start, size):
-            extended = chosen + [x]
-            if maps and not _is_orbit_minimal(extended, maps):
+            if not canon.allows(x):
                 continue
-            aug, coeff = reduce_counted(x, len(chosen))
-            if not any(aug):
-                return extended, coeff
-            if len(extended) < s:
-                elim.push(aug, coeff)
-                deeper = descend(extended, x + 1)
-                elim.pop()
+            row, pivot = test_counted(x)
+            if not pivot:
+                return path + [x], gram.kernel(row)
+            if len(path) + 1 < s:
+                gram.push(x, row, pivot)
+                deeper = descend(x + 1, canon.child(x))
+                gram.pop()
                 if deeper:
                     return deeper
         return None
 
     try:
         # the all-zero word is pinned into every candidate set
-        aug, coeff = reduce_counted(0, 0)
-        if not any(aug):
-            hit: Optional[tuple[list[int], list[int]]] = ([0], coeff)
+        row, pivot = test_counted(0)
+        if not pivot:
+            hit: Optional[tuple[list[int], list[int]]] = ([0], gram.kernel(row))
         elif s > 1:
-            elim.push(aug, coeff)
-            hit = descend([0], 1)
+            gram.push(0, row, pivot)
+            hit = descend(1, _Canon.root(maps, size))
         else:
             hit = None
     except _BudgetExceeded:
@@ -320,6 +469,7 @@ def find_minimum(
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> MinimumReport:
     """Smallest support of a nonzero member of U_[lo,hi](n,q), by linear search."""
+    spectra.validate_range(n, lo, hi)
     size = _check_scale(n, q)
     ceiling = budget.max_support if budget.max_support is not None else size
     total = 0

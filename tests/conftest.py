@@ -67,6 +67,15 @@ def fraction_matrix_rank(rows):
     return rank
 
 
+def is_orbit_minimal(chosen, maps):
+    """Brute force: no index map sends the sorted set `chosen` to a smaller sorted set."""
+    for g in maps:
+        image = sorted(g[v] for v in chosen)
+        if image < chosen:
+            return False
+    return True
+
+
 @pytest.fixture
 def rng():
     import random

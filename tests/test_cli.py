@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from hammingsupport import (
     GridFunction,
@@ -244,6 +247,18 @@ class TestBound:
         data = json.loads(stdout)
         assert data["value"] == 12 and data["valid"] is True
 
+    def test_oversized_rejected(self, capsys):
+        # 10^3000000 is never formed: q^n is checked against the bit cap first
+        start = time.perf_counter()
+        code, stdout, stderr = run(
+            capsys, "bound", "--n", "3000000", "--q", "10", "--i", "0", "--j", "0"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: q^n = 10^3000000 exceeds 2^4096")
+        assert stderr.count("\n") == 1
+
 
 class TestMinsupport:
     def test_conclusive(self, tmp_path, capsys):
@@ -274,6 +289,25 @@ class TestMinsupport:
         assert stdout == ""
         assert stderr.startswith("error: q^n = 10^3000000 too large")
         assert stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("n, q", [("-1", "3"), ("2", "1"), ("2", "0")])
+    def test_bad_shape_rejected(self, capsys, n, q):
+        code, stdout, stderr = run(
+            capsys, "minsupport", "--n", n, "--q", q, "--lo", "0", "--hi", "0"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+    def test_large_symmetry_group_capped(self, capsys):
+        # q = 2, n = 10: 10! coordinate permutations, of which a capped subset is built
+        start = time.perf_counter()
+        code, _, _ = run(
+            capsys, "minsupport", "--n", "10", "--q", "2", "--lo", "1", "--hi", "1",
+            "--max-subsets", "10",
+        )
+        assert code == 2
+        assert time.perf_counter() - start < 15.0
 
     def test_no_prune_same_answer(self, capsys):
         code, stdout, _ = run(

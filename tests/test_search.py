@@ -7,20 +7,21 @@ from hammingsupport import (
     SearchStatus,
     exists_with_support_at_most,
     find_minimum,
+    hamming_distance,
     in_direct_sum,
+    index_to_word,
     krawtchouk,
+    search,
     verify_lower_bound,
 )
 from hammingsupport.spectra import ScaleError
 
-from conftest import fraction_matrix_rank
+from conftest import fraction_matrix_rank, is_orbit_minimal
 
 
 def brute_force_exists(n, q, lo, hi, s):
     """Independent decision: Fraction-rank over every support subset."""
     size = q**n
-    from hammingsupport import hamming_distance, index_to_word
-
     words = [index_to_word(t, n, q) for t in range(size)]
     inside = [
         sum(krawtchouk(n, q, t, d) for t in range(lo, hi + 1)) for d in range(n + 1)
@@ -35,6 +36,13 @@ def brute_force_exists(n, q, lo, hi, s):
             if fraction_matrix_rank(rows) < k:
                 return True
     return False
+
+
+PRUNING_CASES = [
+    (2, 3, 1, 1, 3), (2, 3, 1, 1, 4), (2, 3, 0, 1, 2), (2, 3, 0, 1, 3),
+    (1, 5, 1, 1, 1), (1, 5, 1, 1, 2), (2, 4, 1, 2, 2), (3, 2, 1, 2, 2),
+    (3, 3, 2, 2, 5),
+]
 
 
 class TestExists:
@@ -66,20 +74,21 @@ class TestExists:
         assert outcome.subsets_examined == 0
 
     def test_against_unpruned_brute_force(self):
-        for lo, hi in ((1, 1), (0, 1), (1, 2), (2, 2)):
-            for s in (1, 2, 3):
-                ours = exists_with_support_at_most(2, 3, lo, hi, s)
-                assert (ours.status is SearchStatus.FOUND) == brute_force_exists(
-                    2, 3, lo, hi, s
-                )
+        ranges = {
+            (2, 3): ((1, 1), (0, 1), (1, 2), (2, 2)),
+            (2, 4): ((1, 1), (0, 1), (1, 2), (2, 2)),
+            (3, 2): ((1, 1), (0, 1), (1, 2), (2, 3), (3, 3)),
+        }
+        for (n, q), pairs in ranges.items():
+            for lo, hi in pairs:
+                for s in (1, 2, 3):
+                    ours = exists_with_support_at_most(n, q, lo, hi, s)
+                    assert (ours.status is SearchStatus.FOUND) == brute_force_exists(
+                        n, q, lo, hi, s
+                    ), (n, q, lo, hi, s)
 
     def test_pruning_never_changes_decision(self):
-        cases = [
-            (2, 3, 1, 1, 3), (2, 3, 1, 1, 4), (2, 3, 0, 1, 2), (2, 3, 0, 1, 3),
-            (1, 5, 1, 1, 1), (1, 5, 1, 1, 2), (2, 4, 1, 2, 2), (3, 2, 1, 2, 2),
-            (3, 3, 2, 2, 5),
-        ]
-        for n, q, lo, hi, s in cases:
+        for n, q, lo, hi, s in PRUNING_CASES:
             pruned = exists_with_support_at_most(
                 n, q, lo, hi, s, SearchBudget(symmetry_pruning=True)
             )
@@ -110,9 +119,18 @@ class TestExists:
         assert g == 1
         assert nums[0] > 0
 
+    def test_reference_counts(self):
+        # the reference points quoted in the README
+        pruned = exists_with_support_at_most(3, 3, 2, 2, 5)
+        plain = exists_with_support_at_most(
+            3, 3, 2, 2, 5, SearchBudget(symmetry_pruning=False)
+        )
+        assert pruned.status is plain.status is SearchStatus.EXHAUSTED
+        assert (pruned.subsets_examined, plain.subsets_examined) == (504, 17902)
+
     def test_scale_guard(self):
         with pytest.raises(ScaleError):
-            exists_with_support_at_most(13, 2, 1, 1, 2)
+            exists_with_support_at_most(17, 2, 1, 1, 2)
 
 
 class TestFindMinimum:
@@ -175,3 +193,93 @@ class TestWitnessSoundness:
             assert not w.is_zero()
             assert w.support_size() == report.minimum
             assert in_direct_sum(w, lo, hi)
+
+
+class TestCanonicity:
+    @pytest.mark.parametrize(
+        "n, q, depth", [(2, 3, 6), (3, 3, 5), (2, 4, 5), (2, 5, 4), (3, 4, 5)]
+    )
+    def test_agrees_with_brute_force_oracle(self, n, q, depth):
+        """Every child of the minimal-prefix tree, down to `depth` elements."""
+        maps = search._pruning_maps(n, q)
+        index_maps = [g for g, _ in maps]
+        size = q**n
+        checked = 0
+
+        def walk(canon):
+            nonlocal checked
+            prefix = canon.prefix
+            for x in range(prefix[-1] + 1, size):
+                minimal = is_orbit_minimal(prefix + [x], index_maps)
+                assert canon.allows(x) == minimal, (prefix, x)
+                checked += 1
+                if minimal and len(prefix) + 1 < depth:
+                    walk(canon.child(x))
+
+        walk(search._Canon.root(maps, size))
+        assert checked > size
+
+    @pytest.mark.parametrize("n, q", [(2, 3), (3, 3), (2, 5), (3, 4), (4, 2), (7, 3)])
+    def test_maps_are_automorphisms_fixing_zero(self, n, q):
+        size = q**n
+        maps = search._pruning_maps(n, q)
+        assert 0 < len(maps) <= min(search.MAX_STABILIZER, search.MAX_MAP_ENTRIES // size)
+        words = [index_to_word(t, n, q) for t in range(size)]
+        pairs = [(x, (x * 7 + 3) % size) for x in range(0, size, max(size // 40, 1))]
+        for g, ginv in maps:
+            assert g[0] == 0 and sorted(g) == list(range(size))
+            assert all(ginv[g[x]] == x for x in range(size))
+            for x, y in pairs:
+                assert hamming_distance(words[g[x]], words[g[y]]) == hamming_distance(
+                    words[x], words[y]
+                )
+
+    @pytest.mark.parametrize("n, q", [(1, 2), (2, 3), (3, 4), (2, 17), (1, 300), (9, 2)])
+    def test_word_codes_give_hamming_distance(self, n, q):
+        codes, low, guard = search._word_codes(n, q)
+        size = q**n
+        words = [index_to_word(t, n, q) for t in range(size)]
+        for x in range(0, size, max(size // 30, 1)):
+            for y in range(size - 1, -1, -max(size // 30, 1)):
+                distance = (((codes[x] ^ codes[y]) + low) & guard).bit_count()
+                assert distance == hamming_distance(words[x], words[y])
+
+    def test_map_count_capped_for_large_groups(self):
+        # q = 2, n = 10 has 10! coordinate permutations; a subset is built
+        maps = search._pruning_maps(10, 2)
+        assert len(maps) == search.MAX_MAP_ENTRIES // 2**10
+
+
+class TestModularRankTests:
+    """A tiny prime makes false alarms common; outcomes must not move."""
+
+    CASES = [(*case, prune) for case in PRUNING_CASES for prune in (True, False)]
+    CASES.append((3, 3, 2, 2, 6, True))
+
+    @staticmethod
+    def outcomes():
+        rows = []
+        for n, q, lo, hi, s, prune in TestModularRankTests.CASES:
+            o = exists_with_support_at_most(
+                n, q, lo, hi, s, SearchBudget(symmetry_pruning=prune)
+            )
+            rows.append((o.status, o.subsets_examined, o.witness))
+        return rows
+
+    @pytest.mark.parametrize("prime", [2, 3])
+    def test_tiny_prime_same_outcomes(self, monkeypatch, prime):
+        expected = self.outcomes()
+        switches = []
+        refactor = search._GramPath._refactor
+
+        def spy(gram, modulus):
+            switches.append(modulus)
+            refactor(gram, modulus)
+
+        monkeypatch.setattr(search, "RANK_PRIME", prime)
+        monkeypatch.setattr(search._GramPath, "_refactor", spy)
+        assert self.outcomes() == expected
+        # each witness needs one exact check; more are false alarms
+        found = sum(status is SearchStatus.FOUND for status, _, _ in expected)
+        assert switches.count(None) > found, "the tiny prime raised no false alarm"
+        assert prime in switches, "no search went back to modular arithmetic"
