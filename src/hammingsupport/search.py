@@ -24,22 +24,40 @@ therefore M[:,S]^T M[:,S] = q^n M[S,S], and those columns are dependent
 exactly when the k x k principal minor M[S,S] is singular; a vector is in
 the kernel of M[S,S] exactly when it is in the kernel of M[:,S].  Along the
 DFS path S the search keeps an LDL^T factorization of M[S,S]; it exists
-because only candidates with a nonzero pivot are pushed.  Testing a
-candidate x costs one forward substitution, O(k^2) small-integer
-operations: its pivot is the Schur complement M[x,x] - sum of t_i^2 / d_i,
-and det M[S+x,S+x] = det M[S,S] * pivot.  The factorization is kept modulo
-the prime RANK_PRIME < 2^31.  A pivot that is nonzero mod p proves
-det M[S+x,S+x] != 0 over Q (rank mod p never exceeds rank over Q), so every
-exhaustion, and every lower bound, is exact.  A pivot that is zero mod p is
-only a candidate dependency: the factorization of the path is then
-recomputed over Q, where the pivot decides.  A true zero yields the exact
-kernel vector by back-substitution, scaled to be primitive with its first
-entry positive; it spans the one-dimensional kernel of M[:,S+x], so it is
-the same witness any exact elimination finds.  A false alarm (p divides a
-nonzero determinant) leaves x independent; the search goes on in exact
-arithmetic until x leaves the path, whose remaining pivots are all nonzero
-mod p.  So decisions, rank-test counts and witnesses are those of an exact
-search.
+because only candidates with a nonzero pivot are pushed.  The candidate x
+has pivot M[x,x] - sum of t_i(x)^2 / d_i, where t(x) = L^-1 M[S,x] is a
+forward substitution and d_i the pivots of S, and
+det M[S+x,S+x] = det M[S,S] * pivot.
+
+The factorization is right-looking: when y is pushed as path vertex k
+(pivot d_k), it is eliminated at once from every later vertex z > y,
+
+    t_k(z) = M[y,z] - sum over i < k of L[k][i] t_i(z),  L[k][i] = t_i(y) / d_i,
+    pivot_{k+1}(z) = pivot_k(z) - t_k(z)^2 / d_k,        pivot_0(z) = M[z,z].
+
+t_k(z) is row k of the forward substitution for z, and pivot_{k+1}(z) its
+Schur complement against the first k+1 path vertices, so these are the
+numbers a per-candidate substitution computes, found with O(k) passes of
+`map` over whole lists per push instead of O(k^2) scalar steps per test.  The
+children of the node are exactly the vertices after y, so a rank test is
+a lookup of pivot_k(x).  Each path vertex keeps the two lists t_k and
+pivot_{k+1}, of q^n entries each (zero below y); with pivot_0 and at most
+s - 1 vertices pushed, that is at most (2s - 1) q^n entries in all.
+
+The factorization is kept modulo the prime RANK_PRIME < 2^30.  A pivot
+that is nonzero mod p proves det M[S+x,S+x] != 0 over Q (rank mod p never
+exceeds rank over Q), so every exhaustion, and every lower bound, is
+exact.  A pivot that is zero mod p is only a candidate dependency: the
+path is then pushed again over Q, through the same code with rational
+lists, and the exact pivot decides.  A true zero yields the exact kernel
+vector by back-substitution on the rows of L, rebuilt from the columns,
+scaled to be primitive with its first entry positive; it spans the
+one-dimensional kernel of M[:,S+x], so it is the same witness any exact
+elimination finds.  A false alarm (p divides a nonzero determinant) leaves
+x independent; the search goes on in exact arithmetic, which is slower
+but decides the same, until x leaves the path, whose remaining pivots are
+all nonzero mod p.  So decisions, rank-test counts and witnesses are those
+of an exact search.
 
 Orbit pruning skips sets that some automorphism g fixing the zero word maps
 to a lexicographically smaller set.  Minimality under one map g is
@@ -70,7 +88,10 @@ leaves r, and so the tie child, as they were.  So each node only revisits
 the maps that fix its prefix and the maps whose tie child it took; a map
 whose tie child falls behind the prefix needs no further work.
 
-Budgets count rank tests, not wall time, so runs are reproducible.
+The depth-first search keeps an explicit stack of (node, remaining
+children) frames, so the depth of a path is not bounded by Python's
+recursion limit.  Budgets count rank tests, not wall time, so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -80,9 +101,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice, permutations, product
+from itertools import compress, islice, permutations, product, repeat
 from math import factorial, gcd, lcm
-from operator import add, gt, mul
+from operator import add, gt, mod, mul, sub
 from typing import Optional
 
 from .core import MAX_VERTICES, GridFunction, exceeds_vertex_cap, validate_alphabet
@@ -95,8 +116,9 @@ from .constructions import build_F1, build_F2, min_support_bound, SupportBound
 MAX_STABILIZER = 20_000
 MAX_MAP_ENTRIES = 2**20
 
-# Rank tests run modulo this prime (2^31 - 1); zeros are confirmed over Q.
-RANK_PRIME = 2_147_483_647
+# Rank tests run modulo this prime (2^30 - 35); zeros are confirmed over Q.
+# Residues fit one 30-bit digit of a Python int, which multiplies fastest.
+RANK_PRIME = 1_073_741_789
 
 
 class SearchStatus(enum.Enum):
@@ -110,6 +132,12 @@ class SearchBudget:
     max_support: Optional[int] = None   # ceiling for find_minimum (None: q^n)
     max_subsets: Optional[int] = None   # cap on rank tests (None: unlimited)
     symmetry_pruning: bool = True
+
+    def __post_init__(self):
+        for name in ("max_support", "max_subsets"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -299,83 +327,103 @@ class _BudgetExceeded(Exception):
 
 
 class _GramPath:
-    """LDL^T factorization of the Gram minor M[S,S] along the DFS path S.
+    """Right-looking LDL^T factorization of the Gram minor M[S,S] along the DFS path S.
 
     Kept modulo `prime`, or over Q while `modulus` is None: from a false
-    alarm until the path is back to the length it had then.  rows[i] holds
-    row i of the unit lower factor L (entries left of the diagonal) and
-    inverses[i] the reciprocal of the pivot d_i.
+    alarm until the path is back to the length it had then.  For the i-th
+    path vertex v_i, cols[i][z] holds t_i(z), entry i of L^-1 M[S,z], and
+    inverses[i] the reciprocal of its pivot d_i = t_i(v_i).  pivots[k][z]
+    is the Schur pivot of z against the first k path vertices, so
+    pivots[0][z] = M[z,z].  Both lists of depth i are indexed by vertex and
+    filled for z > v_i only; the entries up to v_i are zero padding.
     """
 
     def __init__(self, n: int, q: int, kappa: tuple[int, ...], prime: int):
         self.codes, self.low, self.guard = _word_codes(n, q)
         self.kappa = kappa
         self.prime = prime
-        self.modulus: Optional[int] = prime
         self.exact_until = 0  # exact arithmetic while the path is longer
-        self.vertices: list[int] = []
-        self.rows: list[list] = []
-        self.inverses: list = []
+        self._start(prime)
 
-    def _extend(self, x: int) -> tuple[list, object]:
-        """(row of L, pivot) for x appended to the path."""
-        p, kappa, codes, low, guard = self.modulus, self.kappa, self.codes, self.low, self.guard
-        cx = codes[x]
-        t: list = []
-        for v, lrow in zip(self.vertices, self.rows):
-            distance = (((codes[v] ^ cx) + low) & guard).bit_count()
-            value = kappa[distance] - sum(map(mul, lrow, t))
-            t.append(value % p if p else value)
-        row = list(map(mul, t, self.inverses))
-        pivot = kappa[0] - sum(map(mul, row, t))
-        if p:
-            return [value % p for value in row], pivot % p
-        return row, pivot
+    def _start(self, modulus: Optional[int]) -> None:
+        """The empty path, mod `modulus` or over Q when it is None."""
+        self.modulus = modulus
+        self.vertices: list[int] = []
+        self.cols: list[list] = []
+        self.inverses: list = []
+        diagonal = self.kappa[0] % modulus if modulus else self.kappa[0]
+        self.pivots: list[list] = [[diagonal] * len(self.codes)]
 
     def _refactor(self, modulus: Optional[int]) -> None:
-        path = self.vertices[:]
-        self.modulus = modulus
-        for held in (self.vertices, self.rows, self.inverses):
-            held.clear()  # in place: callers hold self.vertices
+        path = self.vertices
+        self._start(modulus)
         for v in path:
-            self.push(v, *self._extend(v))
+            self.push(v)
 
-    def test(self, x: int) -> tuple[list, object]:
-        """(row, pivot) for x; pivot == 0 exactly when path + [x] is dependent over Q."""
+    def _row(self, z: int, depth: int) -> list:
+        """Row of L for z against the first `depth` path vertices: t_i(z) / d_i."""
+        row = list(map(mul, [col[z] for col in self.cols[:depth]], self.inverses))
+        p = self.modulus
+        return [value % p for value in row] if p else row
+
+    def test(self, x: int) -> int | Fraction:
+        """Pivot of x, for x > S[-1]; it is 0 exactly when S + [x] is dependent over Q."""
         if self.modulus is None and len(self.vertices) <= self.exact_until:
             # the false alarm has left the path, whose pivots are nonzero mod p
             self._refactor(self.prime)
-        row, pivot = self._extend(x)
+        pivot = self.pivots[-1][x]
         if not pivot and self.modulus is not None:
             # confirm over Q
             self.exact_until = len(self.vertices)
             self._refactor(None)
-            row, pivot = self._extend(x)
-        return row, pivot
+            pivot = self.pivots[-1][x]
+        return pivot
 
-    def push(self, x: int, row: list, pivot) -> None:
-        self.vertices.append(x)
-        self.rows.append(row)
-        p = self.modulus
-        self.inverses.append(pow(pivot, -1, p) if p else 1 / Fraction(pivot))
+    def push(self, y: int) -> None:
+        """Append y, whose pivot is nonzero, and eliminate it from every z > y."""
+        p, codes, low, guard = self.modulus, self.codes, self.low, self.guard
+        pivot = self.pivots[-1][y]
+        inverse = pow(pivot, -1, p) if p else 1 / Fraction(pivot)
+        ahead = y + 1
+        words = map(codes[y].__xor__, codes[ahead:])
+        distances = map(int.bit_count, map(guard.__and__, map(low.__add__, words)))
+        t = list(map(self.kappa.__getitem__, distances))  # M[y, z]
+        # a list per depth: a lazy chain of k maps reads the k columns
+        # element by element, twice as slow once k is in the hundreds
+        for col, factor in zip(self.cols, self._row(y, len(self.cols))):
+            t = list(map(sub, t, map(mul, repeat(factor), col[ahead:])))
+        if p:
+            t = list(map(mod, t, repeat(p)))
+        schur = map(sub, self.pivots[-1][ahead:], map(mul, map(mul, t, t), repeat(inverse)))
+        column = [0] * ahead
+        column += t
+        pivots = [0] * ahead
+        pivots += map(mod, schur, repeat(p)) if p else schur
+        self.vertices.append(y)
+        self.cols.append(column)
+        self.inverses.append(inverse)
+        self.pivots.append(pivots)
 
     def pop(self) -> None:
         self.vertices.pop()
-        self.rows.pop()
+        self.cols.pop()
         self.inverses.pop()
+        self.pivots.pop()
 
-    def kernel(self, row: list) -> list[int]:
+    def kernel(self, x: int) -> list[int]:
         """Primitive integer c with M[:,S] c[:-1] + c[-1] M[:,x] = 0, over Q.
 
-        `row` is the exact row of a zero pivot: solving L^T c = row gives
+        For x with an exact zero pivot: solving L^T c = (t_i(x) / d_i) gives
         M[S,S] c = M[S,x].
         """
-        k = len(row)
-        c: list = [Fraction(0)] * k
+        vertices = self.vertices
+        k = len(vertices)
+        rows = [self._row(v, j) for j, v in enumerate(vertices)]
+        c: list = self._row(x, k)
         for i in reversed(range(k)):
-            c[i] = row[i] - sum(self.rows[j][i] * c[j] for j in range(i + 1, k))
-        c.append(Fraction(-1))
-        den = lcm(*(Fraction(v).denominator for v in c))
+            c[i] -= sum(rows[j][i] * c[j] for j in range(i + 1, k))
+        c = list(map(Fraction, c)) + [Fraction(-1)]
+        den = lcm(*(v.denominator for v in c))
         ints = [int(v * den) for v in c]
         g = gcd(*ints)
         return [v // g for v in ints]
@@ -413,37 +461,39 @@ def exists_with_support_at_most(
     limit = budget.max_subsets
     tests = 0
 
-    def test_counted(x: int) -> tuple[list, object]:
+    def test_counted(x: int) -> int | Fraction:
         nonlocal tests
         if limit is not None and tests >= limit:
             raise _BudgetExceeded
         tests += 1
         return gram.test(x)
 
-    def descend(start: int, canon: _Canon) -> Optional[tuple[list[int], list[int]]]:
-        path = gram.vertices
-        for x in range(start, size):
-            if not canon.allows(x):
-                continue
-            row, pivot = test_counted(x)
-            if not pivot:
-                return path + [x], gram.kernel(row)
-            if len(path) + 1 < s:
-                gram.push(x, row, pivot)
-                deeper = descend(x + 1, canon.child(x))
+    def descend() -> Optional[tuple[list[int], list[int]]]:
+        """Depth-first below the pinned zero word, one (node, candidates) frame per depth."""
+        root = _Canon.root(maps, size)
+        stack = [(root, filter(root.allows, range(1, size)))]
+        while stack:
+            canon, candidates = stack[-1]
+            for x in candidates:
+                if not test_counted(x):
+                    return gram.vertices + [x], gram.kernel(x)
+                if len(gram.vertices) + 1 < s:
+                    gram.push(x)
+                    child = canon.child(x)
+                    stack.append((child, filter(child.allows, range(x + 1, size))))
+                    break
+            else:
+                stack.pop()
                 gram.pop()
-                if deeper:
-                    return deeper
         return None
 
     try:
         # the all-zero word is pinned into every candidate set
-        row, pivot = test_counted(0)
-        if not pivot:
-            hit: Optional[tuple[list[int], list[int]]] = ([0], gram.kernel(row))
+        if not test_counted(0):
+            hit: Optional[tuple[list[int], list[int]]] = ([0], gram.kernel(0))
         elif s > 1:
-            gram.push(0, row, pivot)
-            hit = descend(1, _Canon.root(maps, size))
+            gram.push(0)
+            hit = descend()
         else:
             hit = None
     except _BudgetExceeded:

@@ -299,6 +299,15 @@ class TestMinsupport:
         assert stdout == ""
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--max-support", "--max-subsets"])
+    def test_negative_budget_rejected(self, capsys, flag):
+        code, stdout, stderr = run(
+            capsys, "minsupport", "--n", "3", "--q", "3", "--lo", "2", "--hi", "2", flag, "-2"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
     def test_large_symmetry_group_capped(self, capsys):
         # q = 2, n = 10: 10! coordinate permutations, of which a capped subset is built
         start = time.perf_counter()

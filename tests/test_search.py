@@ -1,4 +1,10 @@
+import os
+import random
+import subprocess
+import sys
 from itertools import combinations
+from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +110,27 @@ class TestExists:
         )
         assert outcome.status is SearchStatus.BUDGET_EXCEEDED
         assert outcome.subsets_examined == 10
+
+    def test_deep_path_needs_no_recursion(self):
+        # U_0(1,300) is the constants: every proper subset of the 300 columns
+        # is independent, so the path grows to 299 vertices, three times the
+        # recursion limit, before the budget runs out
+        script = (
+            "import sys\n"
+            "from hammingsupport import SearchBudget, exists_with_support_at_most\n"
+            "sys.setrecursionlimit(100)\n"
+            "budget = SearchBudget(max_subsets=299, symmetry_pruning=False)\n"
+            "o = exists_with_support_at_most(1, 300, 0, 0, 300, budget)\n"
+            "print(o.status.value, o.subsets_examined)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr[-500:]
+        assert done.stdout.split() == ["budget_exceeded", "299"]
 
     def test_witness_normalized_and_deterministic(self):
         a = exists_with_support_at_most(3, 3, 2, 2, 6).witness
@@ -248,6 +275,53 @@ class TestCanonicity:
         # q = 2, n = 10 has 10! coordinate permutations; a subset is built
         maps = search._pruning_maps(10, 2)
         assert len(maps) == search.MAX_MAP_ENTRIES // 2**10
+
+
+class TestCachedPivots:
+    """The cached Schur pivots against an exact rank of the columns, along random paths."""
+
+    @pytest.mark.parametrize("prime", [search.RANK_PRIME, 3])
+    @pytest.mark.parametrize(
+        "n, q, lo, hi", [(2, 3, 1, 1), (3, 3, 2, 2), (2, 4, 2, 2), (3, 4, 2, 3)]
+    )
+    def test_zero_exactly_when_dependent(self, n, q, lo, hi, prime):
+        size = q**n
+        words = [index_to_word(t, n, q) for t in range(size)]
+        kappa = search._complement_kernel(n, q, lo, hi)
+        columns = [
+            [kappa[hamming_distance(words[y], words[x])] for y in range(size)]
+            for x in range(size)
+        ]
+
+        # the walk starts down the support of a minimum witness, then wanders
+        witness = find_minimum(n, q, lo, hi).witness
+        support = [x for x, value in enumerate(witness.values) if value]
+        rng = random.Random(size * prime)
+        gram = search._GramPath(n, q, kappa, prime)
+        assert gram.test(0)
+        gram.push(0)
+        zeros = 0
+        for _ in range(15):
+            path = list(gram.vertices)
+            independent = []
+            for z in range(path[-1] + 1, size):
+                rows = list(zip(*(columns[x] for x in path + [z])))
+                dependent = fraction_matrix_rank(rows) < len(path) + 1
+                assert (not gram.test(z)) == dependent, (path, z)
+                if dependent:
+                    zeros += 1
+                    c = gram.kernel(z)
+                    assert all(sum(map(mul, c, row)) == 0 for row in rows)
+                else:
+                    independent.append(z)
+            assert gram.vertices == path
+            if path == support[:len(path)] and len(path) + 1 < len(support):
+                gram.push(support[len(path)])
+            elif independent and len(path) < 6 and rng.random() < 0.75:
+                gram.push(rng.choice(independent))
+            elif len(path) > 1:
+                gram.pop()
+        assert zeros, "no path reached a dependency"
 
 
 class TestModularRankTests:
