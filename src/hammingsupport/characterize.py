@@ -176,7 +176,7 @@ def _peel(f: GridFunction, family: str, i: int, j: int):
         a4_budget,
     ):
         return None
-    return a1_items, mid_items, a4_items, g.values[0]
+    return a1_items, mid_items, a4_items, g.value_at(0)
 
 
 def factorize(f: GridFunction, lo: int, hi: int) -> FactorizeResult:
@@ -228,7 +228,8 @@ def factorize(f: GridFunction, lo: int, hi: int) -> FactorizeResult:
     certificate = FactorizationCertificate(
         family, q, tuple(sigma), tuple(factors), Fraction(c)
     )
-    assert certificate.matches(f), "peeling produced an invalid certificate"
+    if not certificate.matches(f):
+        raise RuntimeError("peeling produced an invalid certificate")
     return FactorizeResult(FactorizeStatus.CERTIFIED, certificate, "")
 
 

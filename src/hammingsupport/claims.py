@@ -44,9 +44,7 @@ def require(cond: bool, detail: str) -> None:
 
 
 def random_values(n, q, rng, low=-9, high=9) -> GridFunction:
-    return GridFunction(
-        n, q, tuple(Fraction(rng.randint(low, high)) for _ in range(q**n))
-    )
+    return GridFunction(n, q, [rng.randint(low, high) for _ in range(q**n)])
 
 
 def random_member(n, q, lo, hi, rng) -> GridFunction:

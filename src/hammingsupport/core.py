@@ -2,10 +2,15 @@
 
 Vertices are words of length n over the alphabet Sigma_q = {0, ..., q-1};
 two words are adjacent when their Hamming distance is 1.  A function
-f: Sigma_q^n -> Q is stored densely as a tuple of q^n Fractions indexed by
-the base-q positional encoding of the word (coordinate 0 is the most
-significant digit).  All arithmetic is exact; equality of functions is
-decidable and is plain tuple equality.
+f: Sigma_q^n -> Q is stored as integer numerators over one denominator:
+`nums`, a tuple of q^n ints indexed by the base-q positional encoding of
+the word (coordinate 0 is the most significant digit), and `den`, one
+positive int, with f(x) = nums[x] / den.  The pair is kept reduced,
+gcd(den, *nums) = 1, so den = 1 for the zero function and for every
+integer-valued one.  Equal functions have equal (n, q, den, nums), so
+equality and hashing compare those directly.  All arithmetic is exact
+integer arithmetic.  `values`, the q^n values as Fractions, is derived on
+first read.
 
 Coordinates are 0-based throughout the Python API.  Write-ups about these
 objects usually number coordinates from 1; the CLI accepts 1-based
@@ -20,21 +25,25 @@ The HGF text format round-trips any GridFunction:
                        "s1 s2 ... sn value"  with value "num" or "num/den"
     "#" starts a comment; blank lines are ignored.
 
-The parser rejects a header with q^n above MAX_VERTICES before it
-allocates anything.
+Every constructor and the parser reject q^n above MAX_VERTICES before they
+allocate anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import compress, product
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Callable, Iterator, Mapping, Sequence
 
 Word = tuple[int, ...]
 
-# The largest q^n any parser or spectral routine accepts.  It is the memory
-# bound of the spectral engine, which holds n+1 integer arrays of q^n entries.
+# The largest q^n any constructor, parser or spectral routine accepts.  It is
+# the memory bound of the spectral engine, which holds n+1 integer arrays of
+# q^n entries.
 MAX_VERTICES = 2**16
 
 
@@ -117,53 +126,108 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+class ScaleError(ValueError):
+    """q^n above MAX_VERTICES."""
+
+
+def validate_shape(n: int, q: int) -> None:
+    """Reject a bad alphabet, a negative n, or q^n above MAX_VERTICES.
+
+    It forms no power above the cap, so callers run it before they allocate.
+    """
+    validate_alphabet(q)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if exceeds_vertex_cap(n, q):
+        raise ScaleError(f"q^n = {q}^{n} exceeds the vertex cap {MAX_VERTICES}")
+
+
+@dataclass(frozen=True, init=False)
 class GridFunction:
-    """An exact rational-valued function on Sigma_q^n, stored densely."""
+    """An exact rational-valued function on Sigma_q^n: f(x) = nums[x] / den.
+
+    (nums, den) is reduced: den > 0 and gcd(den, *nums) = 1, so equality and
+    hashing compare (n, q, den, nums) directly.
+    """
 
     n: int
     q: int
-    values: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        validate_alphabet(self.q)
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        if len(self.values) != self.q**self.n:
-            raise ValueError(
-                f"need {self.q**self.n} values for n={self.n}, q={self.q}, "
-                f"got {len(self.values)}"
-            )
-        object.__setattr__(self, "values", tuple(map(_as_fraction, self.values)))
+    def __init__(self, n: int, q: int, values: Sequence) -> None:
+        validate_shape(n, q)
+        if len(values) != q**n:
+            raise ValueError(f"need {q**n} values for n={n}, q={q}, got {len(values)}")
+        for v in values:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
+        # over the least common denominator of values in lowest terms the
+        # pair is already reduced
+        den = lcm(*{v.denominator for v in values})
+        nums = tuple(v.numerator * (den // v.denominator) for v in values)
+        self.__dict__.update(n=n, q=q, den=den, nums=nums)
+
+    @classmethod
+    def _reduced(cls, n: int, q: int, nums, den: int = 1) -> "GridFunction":
+        """The function nums[x] / den, from trusted ints: q^n of them, den != 0.
+
+        The package-internal constructor.  It makes den positive and divides
+        out gcd(den, *nums), and skips both when den = 1.
+        """
+        nums = tuple(nums)
+        if den != 1:
+            if den < 0:
+                den, nums = -den, tuple(map(neg, nums))
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = tuple(v // g for v in nums)
+        f = object.__new__(cls)
+        f.__dict__.update(n=n, q=q, den=den, nums=nums)
+        return f
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The q^n values as Fractions, built on first read."""
+        den = self.den
+        # one Fraction per distinct numerator; Fractions are immutable
+        view = {v: Fraction(v, den) for v in set(self.nums)}
+        return tuple(map(view.__getitem__, self.nums))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int, q: int) -> "GridFunction":
-        return cls(n, q, (Fraction(0),) * q**n)
+        validate_shape(n, q)
+        return cls._reduced(n, q, (0,) * q**n)
 
     @classmethod
     def constant(cls, n: int, q: int, value) -> "GridFunction":
-        return cls(n, q, (_as_fraction(value),) * q**n)
+        validate_shape(n, q)
+        c = _as_fraction(value)
+        return cls._reduced(n, q, (c.numerator,) * q**n, c.denominator)
 
     @classmethod
     def from_callable(cls, n: int, q: int, fn: Callable[[Word], object]) -> "GridFunction":
-        return cls(n, q, tuple(_as_fraction(fn(w)) for w in all_words(n, q)))
+        validate_shape(n, q)
+        return cls(n, q, tuple(fn(w) for w in all_words(n, q)))
 
     @classmethod
     def from_dict(cls, n: int, q: int, entries: Mapping[Word, object]) -> "GridFunction":
-        values = [Fraction(0)] * q**n
+        validate_shape(n, q)
+        values = [0] * q**n
         for word, value in entries.items():
-            values[word_to_index(word, q)] = _as_fraction(value)
-        return cls(n, q, tuple(values))
+            values[word_to_index(word, q)] = value
+        return cls(n, q, values)
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, word: Sequence[int]) -> Fraction:
-        return self.values[word_to_index(word, self.q)]
+        return Fraction(self.nums[word_to_index(word, self.q)], self.den)
 
     def value_at(self, index: int) -> Fraction:
-        return self.values[index]
+        return Fraction(self.nums[index], self.den)
 
     def _check_compatible(self, other: "GridFunction") -> None:
         if self.n != other.n or self.q != other.q:
@@ -171,33 +235,45 @@ class GridFunction:
                 f"shape mismatch: ({self.n},{self.q}) vs ({other.n},{other.q})"
             )
 
+    def _aligned(self, other: "GridFunction"):
+        """Both numerator tuples over the least common denominator, and that denominator."""
+        self._check_compatible(other)
+        a, b = self.den, other.den
+        if a == b:
+            return self.nums, other.nums, a
+        den = lcm(a, b)
+        return _times(self.nums, den // a), _times(other.nums, den // b), den
+
     # -- vector-space operations -------------------------------------------
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_compatible(other)
-        return GridFunction(
-            self.n, self.q, tuple(a + b for a, b in zip(self.values, other.values))
-        )
+        x, y, den = self._aligned(other)
+        return self._reduced(self.n, self.q, map(add, x, y), den)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_compatible(other)
-        return GridFunction(
-            self.n, self.q, tuple(a - b for a, b in zip(self.values, other.values))
-        )
+        x, y, den = self._aligned(other)
+        return self._reduced(self.n, self.q, map(sub, x, y), den)
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction(self.n, self.q, tuple(-a for a in self.values))
+        return self._reduced(self.n, self.q, map(neg, self.nums), self.den)
 
     def scale(self, c) -> "GridFunction":
         c = _as_fraction(c)
-        return GridFunction(self.n, self.q, tuple(c * a for a in self.values))
+        return self._reduced(
+            self.n, self.q, _times(self.nums, c.numerator), self.den * c.denominator
+        )
 
     def tensor(self, other: "GridFunction") -> "GridFunction":
         """(f.tensor(g))(x, y) = f(x) * g(y), x the first f.n coordinates."""
         if self.q != other.q:
             raise ValueError(f"alphabet mismatch: {self.q} vs {other.q}")
-        values = tuple(a * b for a in self.values for b in other.values)
-        return GridFunction(self.n + other.n, self.q, values)
+        validate_shape(self.n + other.n, self.q)
+        right = other.nums
+        zeros = (0,) * len(right)
+        nums: list[int] = []
+        for a in self.nums:
+            nums += zeros if a == 0 else right if a == 1 else map(a.__mul__, right)
+        return self._reduced(self.n + other.n, self.q, nums, self.den * other.den)
 
     def permute(self, sigma: Sequence[int]) -> "GridFunction":
         """The function x |-> f(x[sigma[0]], ..., x[sigma[n-1]]).
@@ -209,19 +285,20 @@ class GridFunction:
         if self.n <= 1:
             return self
         n, q = self.n, self.q
-        weights = [q ** (n - 1 - p) for p in range(n)]
-        out = []
-        for w in all_words(n, q):
-            src = 0
-            for p in range(n):
-                src += w[sigma[p]] * weights[p]
-            out.append(self.values[src])
-        return GridFunction(n, q, tuple(out))
+        # coordinate sigma[p] of x is coordinate p of the word f reads
+        weight = [0] * n
+        for p, c in enumerate(sigma):
+            weight[c] = q ** (n - 1 - p)
+        source = [0]
+        for c in range(n):
+            steps = [s * weight[c] for s in range(q)]
+            source = [i + t for i in source for t in steps]
+        return self._reduced(n, q, map(self.nums.__getitem__, source), self.den)
 
     # -- support -----------------------------------------------------------
 
     def support_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values) if v)
+        return tuple(compress(range(len(self.nums)), self.nums))
 
     def support_words(self) -> tuple[Word, ...]:
         return tuple(
@@ -229,13 +306,18 @@ class GridFunction:
         )
 
     def support_size(self) -> int:
-        return sum(1 for v in self.values if v)
+        return len(self.nums) - self.nums.count(0)
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return not any(self.nums)
 
     def nonzero_items(self) -> Iterator[tuple[int, Fraction]]:
-        return ((i, v) for i, v in enumerate(self.values) if v)
+        den = self.den
+        return ((i, Fraction(v, den)) for i, v in enumerate(self.nums) if v)
+
+
+def _times(nums: tuple[int, ...], c: int):
+    return nums if c == 1 else tuple(v * c for v in nums)
 
 
 # -- HGF serialization -------------------------------------------------------
@@ -261,23 +343,22 @@ def dumps_hgf(f: GridFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_value(token: str, lineno: int) -> Fraction:
+def _parse_value(token: str, lineno: int) -> int | Fraction:
     try:
         if "/" in token:
             num, den = token.split("/", 1)
             return Fraction(int(num), int(den))
-        return Fraction(int(token))
+        return int(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise HGFError(f"line {lineno}: bad value {token!r}: {exc}") from None
 
 
 def loads_hgf(text: str) -> GridFunction:
-    lines = text.splitlines()
     header = None
-    values: list[Fraction] | None = None
     n = q = 0
-    last_index = -1
-    for lineno, raw in enumerate(lines, start=1):
+    indices: list[int] = []
+    values: list[int | Fraction] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -296,34 +377,37 @@ def loads_hgf(text: str) -> GridFunction:
                     f"line {lineno}: q^n = {q}^{n} exceeds the vertex cap {MAX_VERTICES}"
                 )
             header = (n, q)
-            values = [Fraction(0)] * q**n
             continue
         if len(tokens) != n + 1:
             raise HGFError(
                 f"line {lineno}: expected {n} symbols and a value, got {len(tokens)} tokens"
             )
         try:
-            word = tuple(int(t) for t in tokens[:n])
+            word = tuple(map(int, tokens[:n]))
         except ValueError:
             raise HGFError(f"line {lineno}: symbols must be integers") from None
+        index = 0
         for s in word:
             if not 0 <= s < q:
                 raise HGFError(f"line {lineno}: symbol {s} out of range for q={q}")
+            index = index * q + s
         value = _parse_value(tokens[n], lineno)
         if value == 0:
             raise HGFError(f"line {lineno}: zero values must be omitted")
-        index = word_to_index(word, q)
+        last_index = indices[-1] if indices else -1
         if index == last_index:
             raise HGFError(f"line {lineno}: duplicate entry for word {word}")
         if index < last_index:
             raise HGFError(f"line {lineno}: entries must be in increasing index order")
-        last_index = index
-        assert values is not None
-        values[index] = value
+        indices.append(index)
+        values.append(value)
     if header is None:
         raise HGFError("empty input: missing 'n q' header")
-    assert values is not None
-    return GridFunction(n, q, tuple(values))
+    den = lcm(*{v.denominator for v in values})
+    nums = [0] * q**n
+    for index, v in zip(indices, values):
+        nums[index] = v.numerator * (den // v.denominator)
+    return GridFunction._reduced(n, q, nums, den)
 
 
 def write_hgf(f: GridFunction, path) -> None:

@@ -30,6 +30,7 @@ carry the offending slice pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .core import GridFunction
@@ -46,11 +47,13 @@ def restrict(f: GridFunction, r: int, k: int) -> GridFunction:
     if not 0 <= k < q:
         raise ValueError(f"symbol {k} out of range for q = {q}")
     low = q ** (n - 1 - r)
-    values = []
-    for hi in range(q ** r):
-        base = (hi * q + k) * low
-        values.extend(f.values[base : base + low])
-    return GridFunction(n - 1, q, tuple(values))
+    nums = f.nums
+    if low == 1:
+        part = nums[k::q]
+    else:
+        blocks = range(k * low, len(nums), q * low)
+        part = chain.from_iterable(nums[base : base + low] for base in blocks)
+    return GridFunction._reduced(n - 1, q, part, f.den)
 
 
 def slices(f: GridFunction, r: int) -> list[GridFunction]:
@@ -70,7 +73,7 @@ def is_uniform(f: GridFunction) -> UniformityReport:
         raise ValueError("uniformity needs at least one coordinate")
     witnesses: list[Optional[int]] = []
     for r in range(f.n):
-        parts = [s.values for s in slices(f, r)]
+        parts = slices(f, r)
         found: Optional[int] = None
         for l in range(f.q):
             rest = [parts[k] for k in range(f.q) if k != l]
@@ -185,6 +188,6 @@ def support_lower_bound_inequality(f: GridFunction, r: int) -> SliceBoundReport:
     """Support bound from equal leading slices; needs slices 0..q-2 equal."""
     parts = slices(f, r)
     q = f.q
-    equal = all(parts[k].values == parts[0].values for k in range(q - 1))
+    equal = all(parts[k] == parts[0] for k in range(q - 1))
     rhs = (q - 2) * parts[0].support_size() + (parts[q - 2] - parts[q - 1]).support_size()
     return SliceBoundReport(equal, f.support_size(), rhs)

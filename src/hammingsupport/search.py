@@ -432,14 +432,11 @@ class _GramPath:
 def _witness_from_kernel(
     chosen: list[int], coeff: list[int], n: int, q: int
 ) -> GridFunction:
-    values = [Fraction(0)] * q**n
+    nums = [0] * q**n
     for vertex, c in zip(chosen, coeff):
-        values[vertex] = Fraction(c)
-    f = GridFunction(n, q, tuple(values))
-    first = next(v for v in f.values if v)
-    if first < 0:
-        f = -f
-    return f
+        nums[vertex] = c
+    f = GridFunction(n, q, nums)
+    return -f if next(filter(None, nums)) < 0 else f
 
 
 def exists_with_support_at_most(

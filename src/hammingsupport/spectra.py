@@ -19,8 +19,8 @@ idempotents that sum to the identity, hence
 
     E_w = sum over |S| = w of (P1 on S) (x) (P0 off S).
 
-`_graded` evaluates all n+1 sums in one sweep.  It scales the values to
-integers over a common denominator den and keeps one integer array per
+`_graded` evaluates all n+1 sums in one sweep.  It starts from the integer
+numerators of f over its denominator den and keeps one integer array per
 weight w.  A pass over a coordinate replaces the array g of weight w by its
 mean part J g, kept at weight w, and its deviation part q g - J g, moved to
 weight w+1.  These are q P0 g and q P1 g.  After n passes each set S has
@@ -41,26 +41,17 @@ so it vanishes iff every E_w f outside [lo, hi] does.  The test is hi-lo+1
 integer adjacency passes with no division, so it is exact.
 
 There is no tolerance parameter anywhere (exact equality or nothing).  The
-engine holds n+1 integer arrays of q^n entries, so q^n is capped at
-core.MAX_VERTICES.  All functions are pure.
+engine holds n+1 integer arrays of q^n entries; every GridFunction already
+has q^n <= core.MAX_VERTICES, which its constructors enforce with
+ScaleError.  All functions are pure.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
-from .core import MAX_VERTICES, GridFunction, exceeds_vertex_cap
-
-
-class ScaleError(ValueError):
-    """q^n too large for the exact spectral engine."""
-
-
-def _check_scale(n: int, q: int) -> None:
-    if exceeds_vertex_cap(n, q):
-        raise ScaleError(f"q^n = {q}^{n} exceeds the vertex cap {MAX_VERTICES}")
+from .core import GridFunction, ScaleError  # noqa: F401  ScaleError re-exported
 
 
 def _check_eigenindex(n: int, i: int) -> None:
@@ -99,16 +90,9 @@ def krawtchouk_table(n: int, q: int) -> tuple[tuple[int, ...], ...]:
 def eigenspace_dimension(n: int, q: int, i: int) -> int:
     """dim U_i(n,q) = C(n,i)(q-1)^i, cross-checked against trace E_i = K_i(0)."""
     dim = comb(n, i) * (q - 1) ** i
-    assert dim == krawtchouk(n, q, i, 0)
+    if dim != krawtchouk(n, q, i, 0):
+        raise RuntimeError(f"dim U_{i}({n},{q}) = {dim} disagrees with K_{i}(0)")
     return dim
-
-
-def _scaled_integers(f: GridFunction) -> tuple[list[int], int]:
-    """Values as integers over a common denominator."""
-    den = 1
-    for v in f.values:
-        den = lcm(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in f.values], den
 
 
 def _split_last(g: list[int], q: int) -> tuple[list[list[int]], list[int]]:
@@ -121,12 +105,10 @@ def _split_last(g: list[int], q: int) -> tuple[list[list[int]], list[int]]:
     return fibers, list(map(sum, zip(*fibers)))
 
 
-def _graded(f: GridFunction) -> tuple[list[list[int]], int]:
-    """graded[w] = den * q^n * E_w f as integers, for w = 0..n, and den."""
+def _graded(f: GridFunction) -> list[list[int]]:
+    """graded[w] = f.den * q^n * E_w f as integers, for w = 0..n."""
     n, q = f.n, f.q
-    _check_scale(n, q)
-    nums, den = _scaled_integers(f)
-    graded = [nums]
+    graded = [f.nums]
     for _ in range(n):
         out = []
         prev_fibers: list[list[int]] = []
@@ -145,38 +127,31 @@ def _graded(f: GridFunction) -> tuple[list[list[int]], int]:
             prev_fibers, prev_sums = fibers, sums
         out.append([q * v - u for fiber in prev_fibers for v, u in zip(fiber, prev_sums)])
         graded = out
-    return graded, den
-
-
-def _from_scaled(f: GridFunction, nums: list[int], scale: int) -> GridFunction:
-    return GridFunction(f.n, f.q, tuple(Fraction(v, scale) for v in nums))
+    return graded
 
 
 def project_eigenspace(f: GridFunction, i: int) -> GridFunction:
     """E_i f, read off the graded transform."""
     _check_eigenindex(f.n, i)
-    graded, den = _graded(f)
-    return _from_scaled(f, graded[i], den * f.q**f.n)
+    return GridFunction._reduced(f.n, f.q, _graded(f)[i], f.den * f.q**f.n)
 
 
 def project_span(f: GridFunction, lo: int, hi: int) -> GridFunction:
     """(E_lo + ... + E_hi) f, the projection onto U_[lo,hi]."""
     validate_range(f.n, lo, hi)
-    graded, den = _graded(f)
-    return _from_scaled(f, list(map(sum, zip(*graded[lo : hi + 1]))), den * f.q**f.n)
+    nums = map(sum, zip(*_graded(f)[lo : hi + 1]))
+    return GridFunction._reduced(f.n, f.q, nums, f.den * f.q**f.n)
 
 
 def decompose(f: GridFunction) -> list[GridFunction]:
     """All projections [E_0 f, ..., E_n f]; they sum back to f exactly."""
-    graded, den = _graded(f)
-    scale = den * f.q**f.n
-    return [_from_scaled(f, g, scale) for g in graded]
+    scale = f.den * f.q**f.n
+    return [GridFunction._reduced(f.n, f.q, g, scale) for g in _graded(f)]
 
 
 def spectral_profile(f: GridFunction) -> tuple[int, ...]:
     """Indices i with E_i f != 0 (the empty tuple for the zero function)."""
-    graded, _ = _graded(f)
-    return tuple(i for i, g in enumerate(graded) if any(g))
+    return tuple(i for i, g in enumerate(_graded(f)) if any(g))
 
 
 def in_direct_sum(f: GridFunction, lo: int, hi: int) -> bool:
@@ -186,8 +161,7 @@ def in_direct_sum(f: GridFunction, lo: int, hi: int) -> bool:
     nonzero function must check support separately.
     """
     validate_range(f.n, lo, hi)
-    _check_scale(f.n, f.q)
-    nums, _ = _scaled_integers(f)
+    nums = f.nums
     for t in range(lo, hi + 1):
         if not any(nums):
             break
@@ -199,9 +173,8 @@ def in_direct_sum(f: GridFunction, lo: int, hi: int) -> bool:
 
 def apply_adjacency(f: GridFunction) -> GridFunction:
     """(Af)(x) = sum of f over the neighbors of x."""
-    nums, den = _scaled_integers(f)
-    out = _apply_adjacency_int(nums, f.n, f.q)
-    return GridFunction(f.n, f.q, tuple(Fraction(v, den) for v in out))
+    out = _apply_adjacency_int(f.nums, f.n, f.q)
+    return GridFunction._reduced(f.n, f.q, out, f.den)
 
 
 def _apply_adjacency_int(nums: list[int], n: int, q: int) -> list[int]:
@@ -221,5 +194,4 @@ def is_eigenfunction(f: GridFunction, i: int) -> bool:
     """Whether A f = lambda_i(n,q) f exactly (vacuously true for f = 0)."""
     _check_eigenindex(f.n, i)
     lam = eigenvalue(f.n, f.q, i)
-    nums, _ = _scaled_integers(f)
-    return _apply_adjacency_int(nums, f.n, f.q) == [lam * v for v in nums]
+    return _apply_adjacency_int(f.nums, f.n, f.q) == [lam * v for v in f.nums]

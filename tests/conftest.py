@@ -6,10 +6,13 @@ re-exported here.
 The oracles deliberately avoid the library's optimized code paths:
 adjacency goes through explicit neighbor lists, and eigenspace projection
 through Lagrange interpolation in the adjacency operator, so agreement with
-the graded transform and the annihilator is a genuine cross-check.
+the graded transform and the annihilator is a genuine cross-check.  The
+`fraction_*` oracles do the vector-space operations entry by entry on plain
+lists of Fractions, against GridFunction's integer (nums, den) passes.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -46,6 +49,38 @@ def lagrange_project(f, i):
         out = naive_adjacency(out) - out.scale(lam_j)
         out = out.scale(Fraction(1, lam_i - lam_j))
     return out
+
+
+def fraction_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def fraction_sub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def fraction_scale(a, c):
+    return [c * x for x in a]
+
+
+def fraction_tensor(a, b):
+    return [x * y for x in a for y in b]
+
+
+def fraction_permute(a, n, q, sigma):
+    """x |-> a(x[sigma[0]], ..., x[sigma[n-1]]) over words in index order."""
+    out = []
+    for x in product(range(q), repeat=n):
+        index = 0
+        for p in range(n):
+            index = index * q + x[sigma[p]]
+        out.append(a[index])
+    return out
+
+
+def fraction_restrict(a, n, q, r, k):
+    """The entries whose word has symbol k at coordinate r, in index order."""
+    return [v for x, v in zip(product(range(q), repeat=n), a) if x[r] == k]
 
 
 def fraction_matrix_rank(rows):

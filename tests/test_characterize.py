@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +187,25 @@ class TestVerdicts:
         verdict = is_minimum_and_characterized(f, 1, 1)
         assert not verdict.meets_bound
         assert "exceeds" in verdict.summary
+
+
+class TestRevalidation:
+    def test_invalid_certificate_raises_under_optimize(self):
+        # python -O strips assert statements; the re-validation must still raise
+        script = (
+            "import hammingsupport.characterize as chz\n"
+            "import hammingsupport.constructions as cons\n"
+            "cons.FactorizationCertificate.matches = lambda self, f: False\n"
+            "try:\n"
+            "    chz.factorize(cons.build_F1(2, 3, 1, 1), 1, 1)\n"
+            "except RuntimeError as exc:\n"
+            "    print(__debug__, exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout == "False peeling produced an invalid certificate\n"

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,32 @@ from hammingsupport import (
     index_to_word,
     loads_hgf,
     neighbors,
+    restrict,
     word_to_index,
 )
+from hammingsupport.core import MAX_VERTICES, ScaleError
+
+from conftest import (
+    fraction_add,
+    fraction_permute,
+    fraction_restrict,
+    fraction_scale,
+    fraction_sub,
+    fraction_tensor,
+)
+
+# Fractions built from negative and non-unit denominators
+FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(-4, 4).filter(bool))
+SHAPES = st.sampled_from([(0, 2), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4)])
+
+
+def draw_values(data, n, q):
+    return data.draw(st.lists(FRACTIONS, min_size=q**n, max_size=q**n))
+
+
+def assert_reduced(f):
+    assert f.den > 0 and gcd(f.den, *f.nums) == 1
+    assert len(f.nums) == f.q**f.n and all(type(v) is int for v in f.nums)
 
 
 class TestWordIndex:
@@ -221,3 +247,117 @@ class TestHGF:
     def test_error_carries_line_number(self):
         with pytest.raises(HGFError, match="line 3"):
             loads_hgf("2 3\n0 1 1\n0 1 2\n")
+
+
+class TestRepresentation:
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_values_round_trip(self, data):
+        n, q = data.draw(SHAPES)
+        values = draw_values(data, n, q)
+        f = GridFunction(n, q, values)
+        assert_reduced(f)
+        assert f.den == lcm(*(v.denominator for v in values))
+        assert list(f.values) == values
+        g = GridFunction(n, q, f.values)
+        assert g == f and hash(g) == hash(f)
+
+    def test_equal_fractions_equal_representation(self):
+        half = GridFunction(1, 2, (Fraction(2, 4), 0))
+        assert half == GridFunction(1, 2, (Fraction(1, 2), 0))
+        assert (half.den, half.nums) == (2, (1, 0))
+        assert loads_hgf("1 2\n0 2/4\n") == half
+        assert loads_hgf("1 2\n0 1/-2\n") == -half
+        assert GridFunction(1, 2, (2, 0)).scale(Fraction(1, 4)) == half
+
+    def test_internal_constructor_reduces(self):
+        f = GridFunction._reduced(1, 3, (2, -4, 6), -4)
+        assert (f.den, f.nums) == (2, (-1, 2, -3))
+        assert f == GridFunction(1, 3, (Fraction(-1, 2), 1, Fraction(-3, 2)))
+        zero = GridFunction._reduced(1, 3, (0, 0, 0), 6)
+        assert (zero.den, zero.nums) == (1, (0, 0, 0))
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_cancellation_clears_the_denominator(self, data):
+        n, q = data.draw(SHAPES)
+        f = GridFunction(n, q, draw_values(data, n, q))
+        assert (f - f).den == 1 and f - f == GridFunction.zero(n, q)
+        assert (f + -f).den == 1 and f.scale(0).den == 1
+
+    def test_slices_cancel_the_denominator(self):
+        f = GridFunction.from_dict(2, 3, {(0, 1): 3, (1, 2): Fraction(1, 2)})
+        assert f.den == 2
+        assert restrict(f, 0, 0).den == 1 and restrict(f, 0, 0).nums == (0, 3, 0)
+        assert restrict(f, 1, 1).den == 1 and restrict(f, 1, 1).nums == (3, 0, 0)
+        assert restrict(f, 0, 1).den == 2 and restrict(f, 0, 1).nums == (0, 0, 1)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_operations_match_fraction_oracle(self, data):
+        n, q = data.draw(SHAPES)
+        a, b = draw_values(data, n, q), draw_values(data, n, q)
+        f, g = GridFunction(n, q, a), GridFunction(n, q, b)
+        c = data.draw(FRACTIONS)
+        m = data.draw(st.integers(0, 2))
+        h_values = draw_values(data, m, q)
+        sigma = tuple(data.draw(st.permutations(range(n))))
+        results = [
+            (f + g, fraction_add(a, b)),
+            (f - g, fraction_sub(a, b)),
+            (-f, fraction_scale(a, -1)),
+            (f.scale(c), fraction_scale(a, c)),
+            (f.tensor(GridFunction(m, q, h_values)), fraction_tensor(a, h_values)),
+            (f.permute(sigma), fraction_permute(a, n, q, sigma)),
+        ]
+        results += [
+            (restrict(f, r, k), fraction_restrict(a, n, q, r, k))
+            for r in range(n)
+            for k in range(q)
+        ]
+        for out, expected in results:
+            assert_reduced(out)
+            assert list(out.values) == expected
+            assert out == GridFunction(out.n, q, expected)
+        assert f.is_zero() == (not any(a))
+        assert f.support_size() == sum(1 for v in a if v)
+        assert dict(f.nonzero_items()) == {i: v for i, v in enumerate(a) if v}
+        assert [f.value_at(i) for i in range(q**n)] == a
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_hgf_round_trip_keeps_denominators(self, data):
+        n, q = data.draw(SHAPES)
+        f = GridFunction(n, q, draw_values(data, n, q))
+        g = loads_hgf(dumps_hgf(f))
+        assert g == f and (g.den, g.nums) == (f.den, f.nums)
+
+
+BUILDERS = {
+    "values": lambda n, q: GridFunction(n, q, ()),
+    "zero": GridFunction.zero,
+    "constant": lambda n, q: GridFunction.constant(n, q, Fraction(1, 3)),
+    "from_callable": lambda n, q: GridFunction.from_callable(n, q, lambda w: 1),
+    "from_dict": lambda n, q: GridFunction.from_dict(n, q, {}),
+}
+
+
+class TestVertexCap:
+    @pytest.mark.parametrize("n, q", [(9, 8), (40, 10), (17, 2)])
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_refused_before_allocation(self, name, n, q):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScaleError, match=f"exceeds the vertex cap {MAX_VERTICES}"):
+                BUILDERS[name](n, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_tensor_above_cap(self):
+        with pytest.raises(ScaleError):
+            GridFunction.zero(9, 2).tensor(GridFunction.zero(8, 2))
+
+    def test_cap_error_is_a_value_error(self):
+        assert issubclass(ScaleError, ValueError)
