@@ -21,6 +21,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import characterize as chz
 from . import constructions as cons
@@ -420,7 +421,10 @@ def _cmd_selfcheck(args) -> int:
 # -- parser wiring --------------------------------------------------------
 
 
+@cache
 def _build_parser() -> _Parser:
+    # built once per process: parsing leaves no state on the parser, and
+    # usage errors look up sys.stderr when they are raised
     parser = _Parser(prog="hammingsupport")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,9 +4,11 @@ The adjacency operator A of H(n,q) has the n+1 eigenvalues
 
     lambda_i(n,q) = n(q-1) - q*i,   i = 0, ..., n,
 
-with eigenspaces U_i(n,q) and orthogonal projectors E_i.  One integer
-engine serves every entry point: a graded tensor transform for projections
-and profiles, and an annihilator in A for membership.
+with eigenspaces U_i(n,q) and orthogonal projectors E_i.  Both integer
+passes below split one coordinate at a time into its constants and its
+zero-sum vectors: a graded tensor transform builds projections, and a slice
+descent decides membership and the spectral profile without building any
+projection.
 
 Graded transform.  On a single coordinate, Q^q splits into the constants,
 the range of P0 = J/q (J the all-ones q x q matrix), and the zero-sum
@@ -29,27 +31,55 @@ pass contributed one factor q, and only integer additions and
 multiplications were used.  So array w is exactly den * q^n * E_w f.  The
 cost is O(n^2 q^n) and no table is built.
 
-Annihilator.  f lies in U_[lo,hi] = U_lo + ... + U_hi iff
+Slice descent.  Split f on its last coordinate into the slices
+f_0, ..., f_{q-1}, functions on H(n-1,q), and let e_k be the point mass at
+symbol k on that coordinate.  With m = (f_0 + ... + f_{q-1})/q and
+d_k = f_k - m,
 
-    prod over t in [lo, hi] of (A - lambda_t) f = 0.
+    f = m (x) 1 + sum over k of d_k (x) e_k,    sum over k of d_k = 0,
 
-The product multiplies E_w f by c_w = prod over t in [lo, hi] of
-(lambda_w - lambda_t).  The eigenvalues are distinct, so c_w = 0 exactly for
-w inside [lo, hi].  What is left is the sum of c_w E_w f over w outside the
-range, with every c_w nonzero.  Its terms lie in independent eigenspaces,
-so it vanishes iff every E_w f outside [lo, hi] does.  The test is hi-lo+1
-integer adjacency passes with no division, so it is exact.
+and by the graded transform with the last coordinate split off,
+U_w(n) = U_w(n-1) (x) U_0(1)  +  U_(w-1)(n-1) (x) U_1(1).  Since the d_k
+sum to zero, sum d_k (x) e_k = sum d_k (x) (e_k - 1/q) lies in the second
+part, so
+
+    E_w f = E_w m (x) 1 + sum over k of E_(w-1) d_k (x) e_k.
+
+Fix any slice r.  The d_k and the differences f_k - f_r span the same space
+(f_k - f_r = d_k - d_r and q d_k = sum over j of (f_k - f_r) - (f_j - f_r)),
+so E_w f != 0 exactly when E_w of the slice sum is nonzero or E_(w-1) of
+some difference f_k - f_r is.  In particular f lies in U_[lo,hi](n) exactly
+when the slice sum lies in U_[lo,hi](n-1) and every difference lies in
+U_[lo-1,hi-1](n-1), windows clipped to [0, n-1].
+
+`_nonzero_weights` runs this recursion on integer numerators (scaling by
+den or q changes no E_w f != 0) over a bitmask of the weights still in
+question.  A zero function or an empty question returns at once.  One
+coordinate left is closed form: E_0 g is the mean of g and E_1 g its
+deviation, so E_0 g != 0 iff the entries do not sum to zero and E_1 g != 0
+iff they are not all equal.  When some slice is zero it is taken as r, so
+the differences are the nonzero slices themselves and zero subtrees cost
+nothing; otherwise r is the last slice.  Membership asks about the weights
+outside [lo, hi] and stops at the first nonzero one; the profile asks about
+all of them and stops once each is found.  The recursion is at most n + 1
+deep, and n <= 16 under the vertex cap.  A dense member of a single
+eigenspace keeps nearly every branch open down to one coordinate, which
+costs O(n q^n), as one adjacency pass does; sparse input, non-members and
+wide windows stop far earlier.
 
 There is no tolerance parameter anywhere (exact equality or nothing).  The
-engine holds n+1 integer arrays of q^n entries; every GridFunction already
-has q^n <= core.MAX_VERTICES, which its constructors enforce with
-ScaleError.  All functions are pure.
+graded transform holds n+1 integer arrays of q^n entries and the descent a
+few times q^n entries along its path; every GridFunction already has q^n <=
+core.MAX_VERTICES, which its constructors enforce with ScaleError.  All
+functions are pure.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import add, sub
+from typing import Sequence
 
 from .core import GridFunction, ScaleError  # noqa: F401  ScaleError re-exported
 
@@ -151,24 +181,62 @@ def decompose(f: GridFunction) -> list[GridFunction]:
 
 def spectral_profile(f: GridFunction) -> tuple[int, ...]:
     """Indices i with E_i f != 0 (the empty tuple for the zero function)."""
-    return tuple(i for i, g in enumerate(_graded(f)) if any(g))
+    found = _nonzero_weights(f.nums, f.n, f.q, (2 << f.n) - 1, False)
+    return tuple(i for i in range(f.n + 1) if found >> i & 1)
 
 
 def in_direct_sum(f: GridFunction, lo: int, hi: int) -> bool:
-    """Whether f lies in U_[lo,hi](n,q), by the annihilator in A.
+    """Whether f lies in U_[lo,hi](n,q), by the slice descent.
 
     The zero function belongs to every subspace; callers that need a
     nonzero function must check support separately.
     """
     validate_range(f.n, lo, hi)
-    nums = f.nums
-    for t in range(lo, hi + 1):
-        if not any(nums):
+    outside = ((2 << f.n) - 1) ^ ((2 << hi) - (1 << lo))
+    return not _nonzero_weights(f.nums, f.n, f.q, outside, True)
+
+
+def _nonzero_weights(g: Sequence[int], n: int, q: int, want: int, first: bool) -> int:
+    """The bitmask of weights w in the bitmask `want` with E_w g != 0.
+
+    g holds q^n integers.  With `first` the descent stops at the first such
+    w, so only the truth value of the result is meaningful.
+    """
+    want &= (2 << n) - 1
+    if not want or not any(g):
+        return 0
+    if n <= 1:
+        # E_0 g is the mean, E_1 g the deviation from it
+        found = 1 if want & 1 and sum(g) else 0
+        if want & 2 and g.count(g[0]) != q:
+            found |= 2
+        return found
+    total, diffs = _slice_sum_and_differences(g, q)
+    found = _nonzero_weights(total, n - 1, q, want, first)
+    for d in diffs:
+        if found == want or first and found:
             break
-        lam = eigenvalue(f.n, f.q, t)
-        adj = _apply_adjacency_int(nums, f.n, f.q)
-        nums = [a - lam * v for a, v in zip(adj, nums)]
-    return not any(nums)
+        found |= _nonzero_weights(d, n - 1, q, (want & ~found) >> 1, first) << 1
+    return found
+
+
+def _slice_sum_and_differences(g: Sequence[int], q: int):
+    """The sum of the last-coordinate slices of g, and their differences.
+
+    The differences are taken against a zero slice if there is one, so they
+    are the nonzero slices themselves; otherwise against the last slice,
+    and then each is computed only when the caller asks for it.  g must be
+    nonzero.
+    """
+    slices = [g[k::q] for k in range(q)]
+    nonzero = [s for s in slices if any(s)]
+    total = nonzero[0]
+    for s in nonzero[1:]:
+        total = list(map(add, total, s))
+    if len(nonzero) < q:
+        return total, nonzero
+    ref = slices[-1]
+    return total, (list(map(sub, s, ref)) for s in slices[:-1])
 
 
 def apply_adjacency(f: GridFunction) -> GridFunction:

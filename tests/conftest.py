@@ -6,7 +6,7 @@ re-exported here.
 The oracles deliberately avoid the library's optimized code paths:
 adjacency goes through explicit neighbor lists, and eigenspace projection
 through Lagrange interpolation in the adjacency operator, so agreement with
-the graded transform and the annihilator is a genuine cross-check.  The
+the graded transform and the slice descent is a genuine cross-check.  The
 `fraction_*` oracles do the vector-space operations entry by entry on plain
 lists of Fractions, against GridFunction's integer (nums, den) passes.
 """

@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from hammingsupport import (
     write_hgf,
 )
 from hammingsupport.cli import main, selfcheck_rows
+import hammingsupport.cli as cli
 import hammingsupport.claims as claims
 import hammingsupport.spectra as spectra_module
 
@@ -379,6 +382,38 @@ class TestDeterminism:
         f = read_hgf(path)
         write_hgf(f, path)
         assert read_hgf(path) == f
+
+
+class TestParserReuse:
+    """main builds its parser once per process; each call must act as if fresh."""
+
+    @staticmethod
+    def _call(argv):
+        # new streams for every call, so output bound to an earlier stream shows
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    def test_repeated_calls_match_fresh_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "f1.hgf"
+        calls = [
+            ("gen", "--family", "f1", "--n", "3", "--q", "3", "--i", "1", "--j", "1",
+             "-o", str(path)),
+            ("verify", str(path), "--lo", "1", "--hi", "1"),
+            ("verify", str(path), "--lo", "one"),
+            ("verify", str(path), "--json"),
+        ]
+        assert cli._build_parser() is cli._build_parser()
+        reused = [self._call(argv) for argv in calls]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [self._call(argv) for argv in calls]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 1, 0]
+        _, out, err = reused[2]
+        assert out == "" and err.startswith("usage: hammingsupport verify")
+        assert err.endswith("error: argument --lo: invalid int value: 'one'\n")
+        assert json.loads(reused[3][1])["profile"] == [1]
 
 
 class TestSelfcheck:

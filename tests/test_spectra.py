@@ -1,5 +1,10 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -17,6 +22,7 @@ from hammingsupport import (
     eigenvalue,
     elementary,
     in_direct_sum,
+    index_to_word,
     is_eigenfunction,
     krawtchouk,
     project_eigenspace,
@@ -25,7 +31,13 @@ from hammingsupport import (
 )
 from hammingsupport.spectra import ScaleError
 
-from conftest import lagrange_project, naive_adjacency, random_member, random_values
+from conftest import (
+    lagrange_project,
+    naive_adjacency,
+    random_family_instance,
+    random_member,
+    random_values,
+)
 
 
 class TestEigenvalue:
@@ -256,7 +268,7 @@ def _rational_values(n, q, rng):
 
 
 class TestEngineAgainstOracle:
-    """The graded transform and the annihilator against Lagrange interpolation."""
+    """The graded transform and the slice descent against Lagrange interpolation."""
 
     @pytest.mark.parametrize("n,q", _oracle_shapes())
     def test_decompose_and_membership(self, n, q, rng):
@@ -269,6 +281,7 @@ class TestEngineAgainstOracle:
         for i in kept:
             g = g + oracle[i]
         vanishing = [lagrange_project(g, w).is_zero() for w in range(n + 1)]
+        assert spectral_profile(g) == tuple(w for w in range(n + 1) if not vanishing[w])
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
                 expected = all(
@@ -318,3 +331,99 @@ class TestBeyondOldCap:
             assert in_direct_sum(f, lo, hi)
         for lo, hi in ((3, 5), (2, 4), (0, 2), (5, 7), (3, 3)):
             assert not in_direct_sum(f, lo, hi)
+
+
+def _point(n, q, index):
+    return GridFunction.from_dict(n, q, {index_to_word(index, n, q): 1})
+
+
+def _one_slice(g, q, k):
+    """g on the first n-1 coordinates, times the point mass at k on the last."""
+    return g.tensor(_point(1, q, k))
+
+
+def _descent_inputs():
+    """(label, f) pairs that reach every branch of the slice descent."""
+    rng = random.Random(20181)
+    out = []
+    for n, q, index in ((0, 3, 0), (1, 2, 1), (1, 5, 3), (2, 2, 3), (3, 3, 0),
+                        (3, 3, 13), (2, 4, 9), (4, 2, 6), (3, 4, 63)):
+        out.append((f"point mass {index} on H({n},{q})", _point(n, q, index)))
+    for n, q, i, j in ((2, 2, 1, 1), (3, 3, 1, 1), (3, 3, 2, 2), (3, 3, 1, 2),
+                       (3, 4, 0, 2), (4, 2, 1, 2), (4, 2, 3, 3), (2, 5, 1, 2)):
+        f = random_family_instance(n, q, i, j, rng, c=Fraction(-3, 7))
+        out.append((f"product in U_[{i},{j}]({n},{q})", f))
+        index = rng.randrange(q**n)
+        out.append((f"product in U_[{i},{j}]({n},{q}) plus a point mass",
+                    f + _point(n, q, index)))
+    for n, q, lo, hi in ((1, 3, 0, 0), (2, 3, 1, 1), (2, 4, 0, 1), (3, 2, 1, 2), (2, 2, 2, 2)):
+        k = rng.randrange(q)
+        out.append((f"one nonzero slice over U_[{lo},{hi}]({n},{q})",
+                    _one_slice(random_member(n, q, lo, hi, rng).scale(Fraction(1, 6)), q, k)))
+        out.append((f"one nonzero slice, rational values on H({n + 1},{q})",
+                    _one_slice(_rational_values(n, q, rng), q, k)))
+    for n, q, lo, hi in ((2, 3, 1, 1), (3, 3, 2, 3), (3, 2, 1, 1), (4, 2, 2, 2),
+                         (2, 4, 0, 1), (4, 3, 2, 2), (1, 2, 1, 1), (1, 4, 0, 0)):
+        f = random_member(n, q, lo, hi, rng).scale(Fraction(5, 12))
+        out.append((f"dense member of U_[{lo},{hi}]({n},{q})", f))
+        if hi < n:
+            g = f + random_member(n, q, hi + 1, hi + 1, rng)
+            out.append((f"dense member of U_[{lo},{hi + 1}]({n},{q})", g))
+    for n, q in ((0, 2), (1, 2), (1, 3), (2, 2), (3, 2), (5, 2), (3, 3)):
+        out.append((f"rational values on H({n},{q})", _rational_values(n, q, rng)))
+    return out
+
+
+class TestSliceDescentAgainstOracle:
+    """Membership on every window, and the profile, against Lagrange interpolation."""
+
+    @pytest.mark.parametrize("f", [pytest.param(f, id=label) for label, f in _descent_inputs()])
+    def test_profile_and_every_window(self, f):
+        n = f.n
+        profile = tuple(w for w in range(n + 1) if not lagrange_project(f, w).is_zero())
+        assert spectral_profile(f) == profile
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                assert in_direct_sum(f, lo, hi) == all(lo <= w <= hi for w in profile)
+
+    def test_inputs_reach_every_branch(self):
+        inputs = [f for _, f in _descent_inputs()]
+        # (nonzero last-coordinate slices, q) of each input with n >= 2
+        shapes = [(sum(any(f.nums[k::f.q]) for k in range(f.q)), f.q) for f in inputs if f.n >= 2]
+        assert any(c == 1 for c, q in shapes)
+        assert any(1 < c < q for c, q in shapes)  # a zero reference among nonzero slices
+        assert any(c == q for c, q in shapes)  # the last slice is the reference
+        assert {0, 1} <= {f.n for f in inputs}
+        assert any(f.q == 2 and f.n >= 3 for f in inputs)
+        assert any(f.den > 1 for f in inputs)
+
+
+class TestBoundedRecursion:
+    def test_deepest_shape_under_low_recursion_limit(self):
+        # the descent recurses once per coordinate, so n = 16 must fit in a
+        # stack far below the default limit
+        script = (
+            "import sys\n"
+            "from hammingsupport import GridFunction, in_direct_sum, spectral_profile\n"
+            "odd, even = GridFunction(1, 2, (1, -1)), GridFunction(1, 2, (1, 1))\n"
+            "f = GridFunction.constant(0, 2, 1)\n"
+            "g = GridFunction.constant(0, 2, 1)\n"
+            "for c in range(16):\n"
+            "    f = f.tensor(odd if c < 8 else even)\n"
+            "    g = g.tensor(odd if c % 2 else even)\n"
+            "member = f + g.scale(3)\n"
+            "other = member + GridFunction.from_dict(16, 2, {(0,) * 16: 1})\n"
+            "sys.setrecursionlimit(60)\n"
+            "print(in_direct_sum(member, 8, 8), spectral_profile(member))\n"
+            "print(in_direct_sum(other, 8, 8), len(spectral_profile(other)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "RecursionError" not in done.stderr
+        assert done.stdout.splitlines() == ["True (8,)", "False 17"]
