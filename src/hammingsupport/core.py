@@ -25,6 +25,11 @@ The HGF text format round-trips any GridFunction:
                        "s1 s2 ... sn value"  with value "num" or "num/den"
     "#" starts a comment; blank lines are ignored.
 
+The layout `dumps_hgf` writes is the fast case of `loads_hgf`: with no
+comment, single spaces, integer values and q <= 10 (one character per
+symbol) it is read in whole-list passes.  Every other valid layout still
+parses, line by line, and that reader gives every error message.
+
 Every constructor and the parser reject q^n above MAX_VERTICES before they
 allocate anything.
 """
@@ -33,10 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress, product
+from functools import cached_property, lru_cache
+from itertools import chain, compress, islice, product, repeat
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, itemgetter, lt, neg, sub
 from typing import Callable, Iterator, Mapping, Sequence
 
 Word = tuple[int, ...]
@@ -327,20 +332,128 @@ class HGFError(ValueError):
     """Malformed HGF text; message carries the 1-based line number."""
 
 
-def _format_value(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+# an error message shows at most this many characters of a bad token, so it
+# stays one short line however long the token is
+_CLIP_LIMIT = 20
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= _CLIP_LIMIT else text[:_CLIP_LIMIT] + "..."
+
+
+@lru_cache(maxsize=4)
+def _half_words(n: int, q: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Texts of the high floor(n/2) and the low ceil(n/2) coordinates of a word.
+
+    Entry i of each table is the digits of i in base q over that many
+    coordinates, each followed by one space.  The word of index
+    x = a q^ceil(n/2) + b has the text high[a] + low[b].  The high table has
+    at most 2^8 entries under the vertex cap, and the low one at most q^n.
+    """
+    symbols = [f"{s} " for s in range(q)]
+    high = n // 2
+    return (
+        tuple(map("".join, product(symbols, repeat=high))),
+        tuple(map("".join, product(symbols, repeat=n - high))),
+    )
+
+
+def _fraction_text(num: int, den: int) -> str:
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def dumps_hgf(f: GridFunction) -> str:
-    lines = [f"{f.n} {f.q}"]
-    for index, value in f.nonzero_items():
-        word = index_to_word(index, f.n, f.q)
-        parts = [str(s) for s in word]
-        parts.append(_format_value(value))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    """The HGF text of f: the header, then one line per nonzero entry.
+
+    The entries are written one block of q^ceil(n/2) indices at a time, a
+    block sharing the text of its high coordinates, so every per-entry step
+    is a pass over the block.
+    """
+    n, q, nums, den = f.n, f.q, f.nums, f.den
+    high, low = _half_words(n, q)
+    width = len(low)
+    blocks = [f"{n} {q}"]
+    for a, prefix in enumerate(high):
+        block = nums[a * width : (a + 1) * width]
+        if not any(block):
+            continue
+        words = compress(low, block)
+        if prefix:
+            words = map(prefix.__add__, words)
+        if den == 1:
+            texts = map(str, compress(block, block))
+        else:
+            texts = map(_fraction_text, compress(block, block), repeat(den))
+        blocks.append("\n".join(map(add, words, texts)))
+    blocks.append("")
+    return "\n".join(blocks)
+
+
+def loads_hgf(text: str) -> GridFunction:
+    """The function of an HGF text; raises HGFError naming the bad line."""
+    f = _loads_canonical(text)
+    return f if f is not None else _loads_lines(text)
+
+
+def _loads_canonical(text: str) -> GridFunction | None:
+    """The function of an HGF text in the layout `dumps_hgf` writes, or None.
+
+    Accepted: no "#" or "/" anywhere, the header "n q" with n >= 1 and
+    2 <= q <= 10, then entry lines of n one-character symbols in 0..q-1 and
+    an integer value, all separated by single spaces, in strictly increasing
+    index order and with no zero value.  The header is checked before the
+    text is split, so other layouts cost almost nothing here.  Each test on
+    the entries runs over the whole line list at once.  The value token is
+    everything after the symbols, so a line with too many tokens fails `int`.
+
+    Soundness: `_loads_lines` accepts every text this accepts and builds the
+    same function.  The header matches its canonical text, so the loop reads
+    the same n and q.  On an entry line the loop's tokens are the n symbol
+    characters, then the value slice split on whitespace.  A slice that
+    `int` accepts is one numeral between optional whitespace, so the loop
+    reads the same value from it.  The symbol-set test keeps out what
+    `int(s, q)` would also take (signs, "_", whitespace), so `int(symbols, q)`
+    is the positional index the loop computes, and the zero, order and
+    duplicate tests are the loop's.  Anything else returns None, and the
+    caller hands the text to `_loads_lines`, the only source of HGFError.
+    """
+    if "#" in text or "/" in text:
+        return None
+    end = text.find("\n")
+    header = (text if end < 0 else text[:end]).removesuffix("\r")
+    try:
+        n, q = map(int, header.split(" "))
+    except ValueError:
+        return None
+    if header != f"{n} {q}" or n < 1 or not 2 <= q <= 10 or exceeds_vertex_cap(n, q):
+        return None
+    entries = text.splitlines()
+    del entries[0]  # the header
+    width = 2 * n
+    if set(map(itemgetter(slice(1, width, 2)), entries)) - {" " * n}:
+        return None
+    # the symbol strings are streamed twice rather than held: together they
+    # are as large as the text
+    symbols = itemgetter(slice(0, width, 2))
+    if not set(chain.from_iterable(map(symbols, entries))) <= set("0123456789"[:q]):
+        return None
+    try:
+        values = list(map(int, map(itemgetter(slice(width, None)), entries)))
+    except ValueError:
+        return None
+    indices = list(map(int, map(symbols, entries), repeat(q)))
+    del entries  # as large as the text; not needed for the q^n arrays
+    if not all(values) or not all(map(lt, indices, islice(indices, 1, None))):
+        return None
+    size = q**n
+    if len(values) == size:
+        nums = values
+    else:
+        nums = [0] * size
+        for index, v in zip(indices, values):
+            nums[index] = v
+    return GridFunction._reduced(n, q, nums)
 
 
 def _parse_value(token: str, lineno: int) -> int | Fraction:
@@ -349,20 +462,25 @@ def _parse_value(token: str, lineno: int) -> int | Fraction:
             num, den = token.split("/", 1)
             return Fraction(int(num), int(den))
         return int(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise HGFError(f"line {lineno}: bad value {token!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise HGFError(f"line {lineno}: bad value {_clip(token)!r}: zero denominator") from None
+    except ValueError:
+        raise HGFError(f"line {lineno}: bad value {_clip(token)!r}") from None
 
 
-def loads_hgf(text: str) -> GridFunction:
+def _loads_lines(text: str) -> GridFunction:
+    """The line-by-line parser: every valid layout, and every error message."""
     header = None
     n = q = 0
+    last_index = -1
     indices: list[int] = []
     values: list[int | Fraction] = []
+    # the line list lives only as long as the loop, not through the q^n
+    # arrays built after it
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
         if header is None:
             if len(tokens) != 2:
                 raise HGFError(f"line {lineno}: header must be 'n q'")
@@ -374,7 +492,8 @@ def loads_hgf(text: str) -> GridFunction:
                 raise HGFError(f"line {lineno}: need n >= 0 and q >= 2")
             if exceeds_vertex_cap(n, q):
                 raise HGFError(
-                    f"line {lineno}: q^n = {q}^{n} exceeds the vertex cap {MAX_VERTICES}"
+                    f"line {lineno}: q^n = {_clip(str(q))}^{_clip(str(n))}"
+                    f" exceeds the vertex cap {MAX_VERTICES}"
                 )
             header = (n, q)
             continue
@@ -389,18 +508,18 @@ def loads_hgf(text: str) -> GridFunction:
         index = 0
         for s in word:
             if not 0 <= s < q:
-                raise HGFError(f"line {lineno}: symbol {s} out of range for q={q}")
+                raise HGFError(f"line {lineno}: symbol {_clip(str(s))} out of range for q={q}")
             index = index * q + s
         value = _parse_value(tokens[n], lineno)
         if value == 0:
             raise HGFError(f"line {lineno}: zero values must be omitted")
-        last_index = indices[-1] if indices else -1
         if index == last_index:
             raise HGFError(f"line {lineno}: duplicate entry for word {word}")
         if index < last_index:
             raise HGFError(f"line {lineno}: entries must be in increasing index order")
         indices.append(index)
         values.append(value)
+        last_index = index
     if header is None:
         raise HGFError("empty input: missing 'n q' header")
     den = lcm(*{v.denominator for v in values})
@@ -416,5 +535,17 @@ def write_hgf(f: GridFunction, path) -> None:
 
 
 def read_hgf(path) -> GridFunction:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_hgf(fh.read())
+    with open(path, "rb") as fh:
+        text = _ascii_text(fh.read())
+    return loads_hgf(text)
+
+
+def _ascii_text(data: bytes) -> str:
+    """data as ASCII text; HGFError names the line of the first other byte."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the prefix before the first bad byte is ASCII; the byte starts or
+        # continues the line after the prefix's last line break
+        lineno = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        raise HGFError(f"line {lineno}: non-ASCII byte 0x{data[exc.start]:02x}") from None

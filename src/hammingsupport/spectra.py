@@ -57,15 +57,21 @@ den or q changes no E_w f != 0) over a bitmask of the weights still in
 question.  A zero function or an empty question returns at once.  One
 coordinate left is closed form: E_0 g is the mean of g and E_1 g its
 deviation, so E_0 g != 0 iff the entries do not sum to zero and E_1 g != 0
-iff they are not all equal.  When some slice is zero it is taken as r, so
-the differences are the nonzero slices themselves and zero subtrees cost
-nothing; otherwise r is the last slice.  Membership asks about the weights
-outside [lo, hi] and stops at the first nonzero one; the profile asks about
-all of them and stops once each is found.  The recursion is at most n + 1
-deep, and n <= 16 under the vertex cap.  A dense member of a single
-eigenspace keeps nearly every branch open down to one coordinate, which
-costs O(n q^n), as one adjacency pass does; sparse input, non-members and
-wide windows stop far earlier.
+iff they are not all equal.  Two coordinates left are closed form too: read
+g as a q x q table g(a, b).  E_0 g != 0 iff the entries do not sum to zero.
+E_1 g is the sum of (P1 (x) P0) g and (P0 (x) P1) g, orthogonal parts, and
+(P1 (x) P0) g is the deviation of the row means from their mean, so
+E_1 g != 0 iff the row sums are not all equal or the column sums are not.
+E_2 g = 0 iff g lies in U_0 + U_1, the functions u(a) + v(b), that is iff
+every row differs from the first row by a constant.  When some slice is
+zero it is taken as r, so the differences are the nonzero slices
+themselves and zero subtrees cost nothing; otherwise r is the last slice.
+Membership asks about the weights outside [lo, hi] and stops at the first
+nonzero one; the profile asks about all of them and stops once each is
+found.  The recursion is at most n + 1 deep, and n <= 16 under the vertex
+cap.  A dense member of a single eigenspace keeps nearly every branch open
+down to two coordinates, which costs O(n q^n), as one adjacency pass does;
+sparse input, non-members and wide windows stop far earlier.
 
 There is no tolerance parameter anywhere (exact equality or nothing).  The
 graded transform holds n+1 integer arrays of q^n entries and the descent a
@@ -210,6 +216,24 @@ def _nonzero_weights(g: Sequence[int], n: int, q: int, want: int, first: bool) -
         found = 1 if want & 1 and sum(g) else 0
         if want & 2 and g.count(g[0]) != q:
             found |= 2
+        return found
+    if n == 2:
+        # g is a q x q table of rows g[a*q : (a+1)*q]
+        found = 1 if want & 1 and sum(g) else 0
+        rows = [g[a : a + q] for a in range(0, q * q, q)]
+        if want & 2:
+            row_sums = list(map(sum, rows))
+            col_sums = list(map(sum, zip(*rows)))
+            if row_sums.count(row_sums[0]) != q or col_sums.count(col_sums[0]) != q:
+                found |= 2
+        if want & 4:
+            # u_a + v_b exactly when every row differs from row 0 by a constant
+            top = rows[0]
+            for row in rows[1:]:
+                d = list(map(sub, row, top))
+                if d.count(d[0]) != q:
+                    found |= 4
+                    break
         return found
     total, diffs = _slice_sum_and_differences(g, q)
     found = _nonzero_weights(total, n - 1, q, want, first)

@@ -171,6 +171,21 @@ class TestVerify:
         assert code == 1
         assert "line 3" in stderr
 
+    @pytest.mark.parametrize(
+        "data, start",
+        [
+            (b"2 3\n0 1 " + b"7" * 5000 + b"\n", "error: line 2: bad value '7777"),
+            (b"2 3\n0 1 \xc3\xa9\n", "error: line 2: non-ASCII byte 0xc3"),
+        ],
+    )
+    def test_bad_file_gives_one_short_error_line(self, tmp_path, capsys, data, start):
+        path = tmp_path / "bad.hgf"
+        path.write_bytes(data)
+        code, stdout, stderr = run(capsys, "verify", str(path))
+        assert code == 1 and stdout == ""
+        assert stderr.startswith(start)
+        assert stderr.count("\n") == 1 and len(stderr) <= 200
+
     def test_oversized_header_rejected(self, tmp_path, capsys):
         # 10^30 vertices overflows a list; 10^9 would allocate gigabytes;
         # 2^(10^9) must be rejected without forming the power

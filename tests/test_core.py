@@ -19,9 +19,11 @@ from hammingsupport import (
     index_to_word,
     loads_hgf,
     neighbors,
+    read_hgf,
     restrict,
     word_to_index,
 )
+from hammingsupport import core
 from hammingsupport.core import MAX_VERTICES, ScaleError
 
 from conftest import (
@@ -247,6 +249,189 @@ class TestHGF:
     def test_error_carries_line_number(self):
         with pytest.raises(HGFError, match="line 3"):
             loads_hgf("2 3\n0 1 1\n0 1 2\n")
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("1 2\n0 " + "9" * 5000 + "\n", "bad value"),  # above int's digit limit
+            ("1 2\n0 " + "9" * 3000 + "/0\n", "zero denominator"),
+            ("1 2\n0 " + "x" * 3000 + "\n", "bad value"),
+            ("1 2\n" + "9" * 4000 + " 1\n", "out of range"),
+            ("9" * 4000 + " 2\n", "vertex cap"),
+        ],
+    )
+    def test_errors_quote_a_bounded_prefix(self, text, fragment):
+        with pytest.raises(HGFError) as err:
+            loads_hgf(text)
+        message = str(err.value)
+        assert fragment in message and "..." in message
+        assert len(message) < 120 and "\n" not in message
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"2 3\n0 1 \xc3\xa9\n", "line 2: non-ASCII byte 0xc3"),
+            (b"\xff", "line 1: non-ASCII byte 0xff"),
+            (b"2 3\r\n0 1 5\r\n\x80", "line 3: non-ASCII byte 0x80"),
+            (b"2 3\r0 \xc3", "line 2: non-ASCII byte 0xc3"),
+        ],
+    )
+    def test_non_ascii_byte_names_its_line(self, tmp_path, data, message):
+        path = tmp_path / "f.hgf"
+        path.write_bytes(data)
+        with pytest.raises(HGFError) as err:
+            read_hgf(path)
+        assert str(err.value) == message
+
+
+# shapes for the codec tests: n = 0, the one-character symbols of q <= 10,
+# and the multi-digit symbols of q > 10, which only the line loop reads
+HGF_SHAPES = st.sampled_from(
+    [(0, 3), (1, 2), (1, 10), (2, 3), (3, 2), (3, 4), (2, 10), (4, 3), (1, 12), (2, 11)]
+)
+ENTRY_VALUES = st.one_of(st.integers(-120, 120), st.integers(-(10**30), 10**30))
+# one-character texts that int(symbols, q) would read inside a longer string,
+# then whole tokens the line loop reads or rejects
+SYMBOL_TEXTS = ["_", "+", "-", " ", "\t", "+1", "01", "1_0", "a", "10", "12", "9", "٣"]
+VALUE_TEXTS = ["+5", "-0", "0", "00", "1_000", "1/2", "2/4", "4/0", "5 6", "", "_1", "٥", "x"]
+
+
+def _outcome(parse, text):
+    """(n, q, den, nums) of the parsed function, or the HGFError message."""
+    try:
+        f = parse(text)
+    except HGFError as exc:
+        return ("error", str(exc))
+    return ("function", f.n, f.q, f.den, f.nums)
+
+
+def _mutate(data, lines, n):
+    """lines (header first, no terminator) after one drawn mutation."""
+    body = range(1, len(lines))
+    kind = data.draw(st.sampled_from([
+        "double space", "tab", "trailing blank", "comment line", "inline comment",
+        "symbol", "value", "zero value", "duplicate", "swap", "drop token",
+        "extra token", "header spaces", "leading blank",
+    ]))
+    if kind == "trailing blank":
+        return lines + [data.draw(st.sampled_from(["", "  ", "\t"]))]
+    if kind == "comment line":
+        at = data.draw(st.integers(0, len(lines)))
+        return lines[:at] + ["# note"] + lines[at:]
+    if kind == "header spaces":
+        return [lines[0].replace(" ", data.draw(st.sampled_from(["  ", "\t", " \t"])))] + lines[1:]
+    if kind == "leading blank":
+        return [""] + lines
+    if not body:
+        return lines
+    i = data.draw(st.sampled_from(body))
+    tokens = lines[i].split(" ")
+    out = list(lines)
+    if kind in ("double space", "tab"):
+        j = data.draw(st.integers(0, len(tokens) - 2)) if len(tokens) > 1 else 0
+        sep = "  " if kind == "double space" else "\t"
+        out[i] = " ".join(tokens[: j + 1]) + sep + " ".join(tokens[j + 1 :])
+    elif kind == "inline comment":
+        out[i] += "  # entry"
+    elif kind == "symbol" and n:
+        tokens[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(SYMBOL_TEXTS))
+        out[i] = " ".join(tokens)
+    elif kind in ("value", "zero value"):
+        tokens[-1] = "0" if kind == "zero value" else data.draw(st.sampled_from(VALUE_TEXTS))
+        out[i] = " ".join(tokens)
+    elif kind == "duplicate":
+        out.insert(i, lines[i])
+    elif kind == "swap" and i + 1 < len(lines):
+        out[i], out[i + 1] = out[i + 1], out[i]
+    elif kind == "drop token":
+        out[i] = " ".join(tokens[:-1])
+    elif kind == "extra token":
+        out[i] += " 1"
+    return out
+
+
+class TestHGFBulkPass:
+    """The bulk pass for the layout dumps_hgf writes, against the line loop."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_line_loop_on_mutated_text(self, data):
+        n, q = data.draw(HGF_SHAPES)
+        nums = data.draw(st.lists(ENTRY_VALUES, min_size=q**n, max_size=q**n))
+        den = data.draw(st.sampled_from([1, 1, 1, 6]))
+        text = dumps_hgf(GridFunction(n, q, [Fraction(v, den) for v in nums]))
+        lines = text.split("\n")[:-1]
+        for _ in range(data.draw(st.integers(1, 2))):
+            lines = _mutate(data, lines, n)
+        ending = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = ending.join(lines) + data.draw(st.sampled_from([ending, ""]))
+        assert _outcome(loads_hgf, text) == _outcome(core._loads_lines, text)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_line_loop_after_one_small_edit(self, data):
+        # a sign, blank or "_" in a symbol slot is what int(symbols, q) also
+        # reads; a repeated or swapped line is what the order test must catch
+        n, q = data.draw(HGF_SHAPES)
+        nums = data.draw(st.lists(st.integers(-120, 120), min_size=q**n, max_size=q**n))
+        lines = dumps_hgf(GridFunction(n, q, nums)).split("\n")[:-1]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        j = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(["character", "repeat line", "swap lines"]))
+        if edit == "character":
+            k = data.draw(st.integers(0, len(lines[i]) - 1))
+            c = data.draw(st.sampled_from(" \t_+-0129a/#"))
+            lines[i] = lines[i][:k] + c + lines[i][k + 1 :]
+        elif edit == "repeat line":
+            lines.insert(j, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        text = "\n".join(lines) + "\n"
+        assert _outcome(loads_hgf, text) == _outcome(core._loads_lines, text)
+
+    @pytest.mark.parametrize("text", [
+        "3 3\n0 1 2 5\n0 2 1 7\n",
+        "3 10\n0 0 9 -12\n9 9 9 1000000000000000000000000\n",
+        "16 2\n" + "1 " * 16 + "-1\n",
+        "2 3\n",
+        "2 3\r\n0 1 5\r\n2 2 -4",
+    ])
+    def test_canonical_text_takes_the_bulk_pass(self, text):
+        f = core._loads_canonical(text)
+        assert f is not None and f == core._loads_lines(text)
+
+    @pytest.mark.parametrize("text", [
+        "3 3\n0 _ 1 5\n",  # int("0_1", 3) would take it
+        "3 3\n+ 1 1 5\n",  # a sign
+        "3 3\n  1 1 5\n",  # whitespace
+        "3 3\n0 1 3 5\n",  # out of range
+        "2 12\n0 11 5\n",  # q > 10
+        "3 3\n0 1 1 5\n0 1 1 5\n",  # duplicate
+        "3 3\n0 1 2 5\n0 1 1 5\n",  # out of order
+        "3 3\n0 1 1 -0\n",  # zero
+        "3 3\n0 1 1 5 6\n",  # a token too many
+        "3 3\n0 1 5\n",  # a token too few
+        "3 3\n0 1  1 5\n",  # doubled space
+        "3 3\n0 1 1 1/2\n",  # a fraction
+        "3 3\n0 1 1 5  # entry\n",  # a comment
+        "3  3\n0 1 1 5\n",  # header layout
+        "0 3\n5\n",  # n = 0
+    ])
+    def test_other_layouts_go_to_the_line_loop(self, text):
+        assert core._loads_canonical(text) is None
+        assert _outcome(loads_hgf, text) == _outcome(core._loads_lines, text)
+
+    @pytest.mark.parametrize("n, q", [(0, 2), (1, 2), (1, 16), (2, 3), (3, 10), (5, 2), (2, 11)])
+    def test_dumps_matches_the_entrywise_writer(self, n, q, rng):
+        values = [rng.choice([0, 0, rng.randint(-50, 50), Fraction(rng.randint(-9, 9), 6)])
+                  for _ in range(q**n)]
+        f = GridFunction(n, q, values)
+        lines = [f"{n} {q}"]
+        for index, value in f.nonzero_items():
+            text = str(value.numerator) if value.denominator == 1 else str(value)
+            lines.append(" ".join([*map(str, index_to_word(index, n, q)), text]))
+        assert dumps_hgf(f) == "\n".join(lines) + "\n"
+        assert loads_hgf(dumps_hgf(f)) == f
 
 
 class TestRepresentation:
