@@ -40,9 +40,25 @@ Schur complement against the first k+1 path vertices, so these are the
 numbers a per-candidate substitution computes, found with O(k) passes of
 `map` over whole lists per push instead of O(k^2) scalar steps per test.  The
 children of the node are exactly the vertices after y, so a rank test is
-a lookup of pivot_k(x).  Each path vertex keeps the two lists t_k and
-pivot_{k+1}, of q^n entries each (zero below y); with pivot_0 and at most
-s - 1 vertices pushed, that is at most (2s - 1) q^n entries in all.
+a lookup of pivot_k(x).
+
+The last level is tested without a push.  With k = s - 2 vertices on the
+path, a candidate x that passes its test has children S + [x, z] of size s,
+which are tested and never extended.  Their pivots,
+
+    pivot_{k+1}(z) = pivot_k(z) - t^2 / d_x,  t = M[x,z] - sum over i < k of L[x][i] t_i(z),
+
+come from x's row of L and one inverse of x's pivot d_x, for the children
+that pruning allows only.  They are the residues push(x) would write, so
+each reads zero exactly when the lookup after a push would.  A zero is
+confirmed as below: x is pushed and test(z) decides over Q.  After a false
+alarm the remaining children are tested on that path, and x is popped at
+the end.  The tests, their order and the budget check before each one are
+those of the pushed form, so decisions, counts and witnesses do not move.
+Each path vertex keeps the two lists t_k and pivot_{k+1}, of q^n entries
+each (zero below y).  Outside a confirmation at most max(1, s - 2) vertices
+are pushed, and s - 1 while one runs, so with pivot_0 that is at most
+(2s - 1) q^n entries in all.
 
 The factorization is kept modulo the prime RANK_PRIME < 2^30.  A pivot
 that is nonzero mod p proves det M[S+x,S+x] != 0 over Q (rank mod p never
@@ -88,6 +104,12 @@ leaves r, and so the tie child, as they were.  So each node only revisits
 the maps that fix its prefix and the maps whose tie child it took; a map
 whose tie child falls behind the prefix needs no further work.
 
+Nodes are never mutated once built, so one root per (n, q) serves every
+search on it (`_pruning_root`), and up to ROOT_MEMO_VERTICES vertices it
+keeps the children it hands out.  No deeper node is kept, which bounds what
+the cache holds by q^n nodes per root.  With pruning off, or no map in the
+table, no node is built: the candidates are plain ranges.
+
 The depth-first search keeps an explicit stack of (node, remaining
 children) frames, so the depth of a path is not bounded by Python's
 recursion limit.  Budgets count rank tests, not wall time, so runs are
@@ -101,9 +123,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice, permutations, product, repeat
-from math import factorial, gcd, lcm
-from operator import add, gt, mod, mul, sub
+from itertools import chain, compress, islice, permutations, product, repeat
+from math import gcd, lcm
+from operator import gt, mod, mul, sub
 from typing import Optional
 
 from .core import MAX_VERTICES, GridFunction, exceeds_vertex_cap, validate_alphabet
@@ -115,6 +137,12 @@ from .constructions import build_F1, build_F2, min_support_bound, SupportBound
 # (coordinate permutations first), which is sound and only prunes less.
 MAX_STABILIZER = 20_000
 MAX_MAP_ENTRIES = 2**20
+
+# The pruning root keeps its children up to this many vertices.  A child
+# holds sets of at most q^n vertices, so all of them take at most a few MB
+# (3.7 MB at n = 8, q = 2, the most among q^n <= 256); above, a root with
+# one child per vertex could hold q^2n set entries.
+ROOT_MEMO_VERTICES = 256
 
 # Rank tests run modulo this prime (2^30 - 35); zeros are confirmed over Q.
 # Residues fit one 30-bit digit of a Python int, which multiplies fastest.
@@ -205,6 +233,20 @@ def _complement_kernel(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
     return tuple((q**n if d == 0 else 0) - inside[d] for d in range(n + 1))
 
 
+def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+def _group_order_exceeds(n: int, q: int, cap: int) -> bool:
+    """Whether n! (q-1)!^n > cap, multiplied up only until the product passes cap."""
+    order = 1
+    for factor in chain(range(2, n + 1), *repeat(range(2, q), n)):
+        order *= factor
+        if order > cap:
+            return True
+    return False
+
+
 @lru_cache(maxsize=8)
 def _pruning_maps(n: int, q: int) -> tuple[tuple[array, array], ...]:
     """Vertex permutations fixing the zero word, as (map, inverse) pairs.
@@ -215,33 +257,53 @@ def _pruning_maps(n: int, q: int) -> tuple[tuple[array, array], ...]:
     permutations alone, in lexicographic order, up to that many maps.
     Identity excluded; each map and inverse is an array of q^n indices, of
     one byte each up to 256 vertices and two bytes above.
+
+    The map (tau, sigma) sends word x to the word whose coordinate j is
+    sigma_j(x[tau(j)]); its inverse is the map (tau^-1, sigma'), with
+    sigma'_j the inverse of sigma_{tau^-1(j)}.  Each group element is built
+    once, one coordinate at a time, and serves as a map or an inverse.
     """
     size = q**n
     cap = min(MAX_STABILIZER, MAX_MAP_ENTRIES // size)
-    if factorial(n) * factorial(q - 1) ** n <= cap:
+    if _group_order_exceeds(n, q, cap):
+        symbol_perms = [tuple(range(q))]
+        choices = [(symbol_perms[0],) * n]
+    else:
         symbol_perms = [(0,) + rest for rest in permutations(range(1, q))]
         choices = list(product(symbol_perms, repeat=n))
-    else:
-        choices = [tuple(tuple(range(q)) for _ in range(n))]
-    # digits[j][x] = symbol of word x at coordinate j (0 most significant)
-    weights = [q ** (n - 1 - j) for j in range(n)]
-    digits = [[x // w % q for x in range(size)] for w in weights]
+    symbol_inverse = {perm: _inverse(perm) for perm in symbol_perms}
+    weights = [q ** (n - 1 - j) for j in range(n)]  # coordinate 0 most significant
     typecode = "B" if size <= 256 else "H"  # q^n <= MAX_VERTICES = 2^16
     identity = array(typecode, range(size))
-    maps: list[array] = []
-    # a generator: product() would materialize all n! permutations
-    group = ((tau, chs) for tau in permutations(range(n)) for chs in choices)
-    for tau, chs in group:
+    built: dict[tuple, array] = {}
+
+    def vertex_map(element: tuple) -> array:
+        mapping = built.get(element)
+        if mapping is None:
+            tau, sigma = element
+            index = [0]
+            # source coordinate c lands on coordinate j = tau^-1(c) of the image
+            for j in _inverse(tau):
+                table = [sigma[j][b] * weights[j] for b in range(q)]
+                index = [a + b for a in index for b in table]
+            mapping = built[element] = array(typecode, index)
+        return mapping
+
+    def group():
+        # generators: product() would materialize all n! permutations
+        for tau in permutations(range(n)):
+            tau_inv = _inverse(tau)
+            for sigma in choices:
+                yield (tau, sigma), (tau_inv, tuple(symbol_inverse[sigma[t]] for t in tau_inv))
+
+    maps: list[tuple[array, array]] = []
+    for element, inverse in group():
         if len(maps) == cap:
             break
-        index = [0] * size
-        for p in range(n):
-            table = [chs[p][b] * weights[p] for b in range(q)]
-            index = list(map(add, index, map(table.__getitem__, digits[tau[p]])))
-        mapping = array(typecode, index)
+        mapping = vertex_map(element)
         if mapping != identity:
-            maps.append(mapping)
-    return tuple((g, array(typecode, sorted(range(size), key=g.__getitem__))) for g in maps)
+            maps.append((mapping, vertex_map(inverse)))
+    return tuple(maps)
 
 
 class _Canon:
@@ -273,10 +335,6 @@ class _Canon:
             for g, _ in fixers
         ]
         self.skip = thresholds.union(*descents) if descents else thresholds
-
-    @classmethod
-    def root(cls, maps: tuple, size: int) -> "_Canon":
-        return cls([0], list(maps), {}, frozenset(), size)
 
     def allows(self, x: int) -> bool:
         """Whether prefix + [x] is orbit-minimal, for a child x > prefix[-1]."""
@@ -320,6 +378,33 @@ class _Canon:
         for tie, bucket in new_ties.items():
             ties[tie] = ties[tie] + bucket if tie in ties else bucket
         return _Canon(prefix, fixers, ties, frozenset(thresholds), self.size)
+
+
+class _Root(_Canon):
+    """The node [0], which keeps the children it hands out when q^n <= ROOT_MEMO_VERTICES.
+
+    Nodes are never mutated after construction, so one root, and the
+    children it keeps, serve every search on (n, q).  No deeper node is kept.
+    """
+
+    __slots__ = ("children",)
+
+    def __init__(self, maps: tuple, size: int):
+        super().__init__([0], list(maps), {}, frozenset(), size)
+        self.children: Optional[dict[int, _Canon]] = {} if size <= ROOT_MEMO_VERTICES else None
+
+    def child(self, x: int) -> _Canon:
+        if self.children is None:
+            return super().child(x)
+        node = self.children.get(x)
+        if node is None:
+            node = self.children[x] = super().child(x)
+        return node
+
+
+@lru_cache(maxsize=8)
+def _pruning_root(n: int, q: int) -> _Root:
+    return _Root(_pruning_maps(n, q), q**n)
 
 
 class _BudgetExceeded(Exception):
@@ -378,6 +463,29 @@ class _GramPath:
             self._refactor(None)
             pivot = self.pivots[-1][x]
         return pivot
+
+    def pivots_after(self, x: int, zs) -> list:
+        """Pivot of each z in zs against S + [x], for x > S[-1] independent of S, without a push.
+
+        The same t(z) and pivot_{k+1}(z) that push(x) writes, so a pivot here
+        is zero exactly when test(z) after push(x) reads zero.  Scalar steps
+        per child: pruning leaves few children, and whole-list passes over
+        every z > x would mostly compute entries nothing reads.
+        """
+        p, codes, low, guard, kappa = self.modulus, self.codes, self.low, self.guard, self.kappa
+        cols = self.cols
+        pivot = self.pivots[-1]
+        inverse = pow(pivot[x], -1, p) if p else 1 / Fraction(pivot[x])
+        row = self._row(x, len(cols))
+        word = codes[x]
+        out = []
+        for z in zs:
+            t = kappa[(((word ^ codes[z]) + low) & guard).bit_count()]  # M[x, z]
+            t -= sum(map(mul, row, [col[z] for col in cols]))
+            if p:
+                t %= p
+            out.append(pivot[z] - t * t * inverse)
+        return [value % p for value in out] if p else out
 
     def push(self, y: int) -> None:
         """Append y, whose pivot is nonzero, and eliminate it from every z > y."""
@@ -458,27 +566,67 @@ def exists_with_support_at_most(
     limit = budget.max_subsets
     tests = 0
 
-    def test_counted(x: int) -> int | Fraction:
+    def count() -> None:
         nonlocal tests
         if limit is not None and tests >= limit:
             raise _BudgetExceeded
         tests += 1
+
+    def test_counted(x: int) -> int | Fraction:
+        count()
         return gram.test(x)
+
+    # the node of prefix + [x] and an iterator over its orbit-minimal children
+    if maps:
+        root: Optional[_Root] = _pruning_root(n, q)
+
+        def expand(canon, x):
+            child = canon.child(x)
+            return child, filter(child.allows, range(x + 1, size))
+    else:
+        root = None
+
+        def expand(canon, x):
+            return None, iter(range(x + 1, size))
+
+    def last_level(x: int, children) -> Optional[tuple[list[int], list[int]]]:
+        """Test the sets S + [x, z] for the children z of x, pushing x only to confirm a zero."""
+        zs = list(children)
+        for i, (z, pivot) in enumerate(zip(zs, gram.pivots_after(x, zs))):
+            count()
+            if pivot:
+                continue
+            gram.push(x)
+            if not gram.test(z):
+                return gram.vertices + [z], gram.kernel(z)
+            # a false alarm: the rest of the children on the pushed path
+            for z in zs[i + 1:]:
+                if not test_counted(z):
+                    return gram.vertices + [z], gram.kernel(z)
+            gram.pop()
+            break
+        return None
 
     def descend() -> Optional[tuple[list[int], list[int]]]:
         """Depth-first below the pinned zero word, one (node, candidates) frame per depth."""
-        root = _Canon.root(maps, size)
-        stack = [(root, filter(root.allows, range(1, size)))]
+        stack = [(root, filter(root.allows, range(1, size)) if root else iter(range(1, size)))]
         while stack:
             canon, candidates = stack[-1]
+            depth = len(gram.vertices)
             for x in candidates:
                 if not test_counted(x):
                     return gram.vertices + [x], gram.kernel(x)
-                if len(gram.vertices) + 1 < s:
-                    gram.push(x)
-                    child = canon.child(x)
-                    stack.append((child, filter(child.allows, range(x + 1, size))))
-                    break
+                if depth + 1 == s:
+                    continue
+                child, grandchildren = expand(canon, x)
+                if depth + 2 == s:
+                    hit = last_level(x, grandchildren)
+                    if hit:
+                        return hit
+                    continue
+                gram.push(x)
+                stack.append((child, grandchildren))
+                break
             else:
                 stack.pop()
                 gram.pop()

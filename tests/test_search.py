@@ -111,6 +111,23 @@ class TestExists:
         assert outcome.status is SearchStatus.BUDGET_EXCEEDED
         assert outcome.subsets_examined == 10
 
+    @pytest.mark.parametrize(
+        "n, q, lo, hi, s, prune",
+        [(3, 3, 2, 2, 5, True), (2, 3, 1, 1, 4, True), (2, 3, 1, 1, 4, False)],
+    )
+    def test_every_budget_boundary(self, n, q, lo, hi, s, prune):
+        # a budget of L tests stops after exactly L, wherever the L-th falls
+        full = exists_with_support_at_most(n, q, lo, hi, s, SearchBudget(symmetry_pruning=prune))
+        assert full.status is not SearchStatus.BUDGET_EXCEEDED
+        for limit in range(full.subsets_examined + 2):
+            budget = SearchBudget(max_subsets=limit, symmetry_pruning=prune)
+            outcome = exists_with_support_at_most(n, q, lo, hi, s, budget)
+            if limit < full.subsets_examined:
+                assert outcome.status is SearchStatus.BUDGET_EXCEEDED, limit
+                assert outcome.subsets_examined == limit
+            else:
+                assert outcome == full, limit
+
     def test_deep_path_needs_no_recursion(self):
         # U_0(1,300) is the constants: every proper subset of the 300 columns
         # is independent, so the path grows to 299 vertices, three times the
@@ -243,8 +260,10 @@ class TestCanonicity:
                 if minimal and len(prefix) + 1 < depth:
                     walk(canon.child(x))
 
-        walk(search._Canon.root(maps, size))
-        assert checked > size
+        # twice: the cached root hands out the same children on the second walk
+        for _ in range(2):
+            walk(search._pruning_root(n, q))
+        assert checked > 2 * size
 
     @pytest.mark.parametrize("n, q", [(2, 3), (3, 3), (2, 5), (3, 4), (4, 2), (7, 3)])
     def test_maps_are_automorphisms_fixing_zero(self, n, q):
@@ -315,6 +334,13 @@ class TestCachedPivots:
                 else:
                     independent.append(z)
             assert gram.vertices == path
+            if independent:
+                # the last level without a push reads the pivots a push writes
+                x, later = independent[0], list(range(independent[0] + 1, size))
+                direct = gram.pivots_after(x, later)
+                gram.push(x)
+                assert direct == [gram.pivots[-1][z] for z in later]
+                gram.pop()
             if path == support[:len(path)] and len(path) + 1 < len(support):
                 gram.push(support[len(path)])
             elif independent and len(path) < 6 and rng.random() < 0.75:
@@ -327,15 +353,22 @@ class TestCachedPivots:
 class TestModularRankTests:
     """A tiny prime makes false alarms common; outcomes must not move."""
 
-    CASES = [(*case, prune) for case in PRUNING_CASES for prune in (True, False)]
-    CASES.append((3, 3, 2, 2, 6, True))
+    CASES = [(*case, prune, None) for case in PRUNING_CASES for prune in (True, False)]
+    CASES.append((3, 3, 2, 2, 6, True, None))
+    # budgets that run out among the children of a last-level vertex x that
+    # was pushed after a false alarm: under prime 2 for the first two,
+    # under prime 3 for the last two
+    CASES += [
+        (3, 3, 2, 2, 5, True, 10), (2, 5, 1, 1, 3, False, 117),
+        (2, 5, 1, 1, 3, False, 10), (4, 2, 0, 1, 4, True, 22),
+    ]
 
     @staticmethod
     def outcomes():
         rows = []
-        for n, q, lo, hi, s, prune in TestModularRankTests.CASES:
+        for n, q, lo, hi, s, prune, limit in TestModularRankTests.CASES:
             o = exists_with_support_at_most(
-                n, q, lo, hi, s, SearchBudget(symmetry_pruning=prune)
+                n, q, lo, hi, s, SearchBudget(max_subsets=limit, symmetry_pruning=prune)
             )
             rows.append((o.status, o.subsets_examined, o.witness))
         return rows
