@@ -26,16 +26,7 @@ from functools import cache
 from . import characterize as chz
 from . import constructions as cons
 from . import reduction, search, spectra
-from .core import (
-    MAX_VERTICES,
-    GridFunction,
-    HGFError,
-    dumps_hgf,
-    exceeds_vertex_cap,
-    read_hgf,
-    validate_alphabet,
-    write_hgf,
-)
+from .core import GridFunction, HGFError, dumps_hgf, read_hgf, validate_shape, write_hgf
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,14 +49,11 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _parse_factor(text: str) -> cons.ElementaryFactor:
     text = text.strip()
-    if "(" in text:
-        kind, rest = text.split("(", 1)
-        if not rest.endswith(")"):
-            raise SystemExit(f"error: bad factor {text!r}")
-        params = tuple(int(p) for p in rest[:-1].split(","))
-    else:
-        kind, params = text, ()
+    kind, paren, rest = text.partition("(")
+    if paren and not rest.endswith(")"):
+        raise SystemExit(f"error: bad factor {text!r}")
     try:
+        params = tuple(int(p) for p in rest[:-1].split(",")) if paren else ()
         return cons.ElementaryFactor(kind.strip(), params)
     except ValueError as exc:
         raise SystemExit(f"error: bad factor {text!r}: {exc}") from None
@@ -102,20 +90,13 @@ def _note(msg: str, to_stderr: bool) -> None:
 # -- gen -----------------------------------------------------------------
 
 
-def _check_shape(n: int, q: int) -> None:
-    """Reject an output on Sigma_q^n above the vertex cap before building it."""
-    validate_alphabet(q)
-    if exceeds_vertex_cap(n, q):
-        raise SystemExit(f"error: q^n = {q}^{n} exceeds the vertex cap {MAX_VERTICES}")
-
-
 def _cmd_gen(args) -> int:
     family = args.family
     if family in ("f1", "f2"):
         for name in ("n", "q", "i", "j"):
             if getattr(args, name) is None:
                 raise SystemExit(f"error: --{name} is required for {family}")
-        _check_shape(args.n, args.q)
+        validate_shape(args.n, args.q)
         factors = None
         if args.factors:
             factors = [_parse_factor(t) for t in args.factors.split(";") if t.strip()]
@@ -126,7 +107,7 @@ def _cmd_gen(args) -> int:
     elif family in ("a1", "a2", "a3", "a4"):
         if args.q is None:
             raise SystemExit("error: --q is required for elementary factors")
-        _check_shape(2 if family == "a1" else 1, args.q)
+        validate_shape(2 if family == "a1" else 1, args.q)
         params = ()
         if family in ("a1", "a2"):
             if args.k is None or args.m is None:
@@ -141,7 +122,7 @@ def _cmd_gen(args) -> int:
     elif family == "counterexample-g":
         if args.q is None:
             raise SystemExit("error: --q is required for counterexample-g")
-        _check_shape(2, args.q)
+        validate_shape(2, args.q)
         f = cons.counterexample_g(args.q)
         membership = (1, 2)
     elif family == "counterexample-h":

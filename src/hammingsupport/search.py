@@ -51,29 +51,35 @@ which are tested and never extended.  Their pivots,
 come from x's row of L and one inverse of x's pivot d_x, for the children
 that pruning allows only.  They are the residues push(x) would write, so
 each reads zero exactly when the lookup after a push would.  A zero is
-confirmed as below: x is pushed and test(z) decides over Q.  After a false
-alarm the remaining children are tested on that path, and x is popped at
-the end.  The tests, their order and the budget check before each one are
-those of the pushed form, so decisions, counts and witnesses do not move.
-Each path vertex keeps the two lists t_k and pivot_{k+1}, of q^n entries
-each (zero below y).  Outside a confirmation at most max(1, s - 2) vertices
-are pushed, and s - 1 while one runs, so with pivot_0 that is at most
-(2s - 1) q^n entries in all.
+confirmed as below with x pushed; the remaining children are tested on that
+path, and x is popped at the end.  The tests, their order and the budget
+check before each one are those of the pushed form, so decisions, counts
+and witnesses do not move.
 
-The factorization is kept modulo the prime RANK_PRIME < 2^30.  A pivot
-that is nonzero mod p proves det M[S+x,S+x] != 0 over Q (rank mod p never
-exceeds rank over Q), so every exhaustion, and every lower bound, is
-exact.  A pivot that is zero mod p is only a candidate dependency: the
-path is then pushed again over Q, through the same code with rational
-lists, and the exact pivot decides.  A true zero yields the exact kernel
-vector by back-substitution on the rows of L, rebuilt from the columns,
-scaled to be primitive with its first entry positive; it spans the
-one-dimensional kernel of M[:,S+x], so it is the same witness any exact
-elimination finds.  A false alarm (p divides a nonzero determinant) leaves
-x independent; the search goes on in exact arithmetic, which is slower
-but decides the same, until x leaves the path, whose remaining pivots are
-all nonzero mod p.  So decisions, rank-test counts and witnesses are those
-of an exact search.
+The factorization is kept modulo a prime p, at first RANK_PRIME < 2^30.  A
+pivot that is nonzero mod p proves det M[S+x,S+x] != 0 over Q (rank mod p
+never exceeds rank over Q), so every exhaustion, and every lower bound, is
+exact.  A pivot that is zero mod p is only a candidate dependency, and the
+(k+1)-square integer minor M[S+x,S+x] decides it: a symmetric elimination
+over Q without row exchanges, sound because each leading minor
+det M[S_i,S_i] is nonzero (every path vertex had a nonzero pivot).  Its
+last entry is x's exact pivot.  A true zero yields the witness by
+back-substitution on the eliminated rows, scaled to be primitive with its
+first entry positive; it spans the one-dimensional kernel of M[:,S+x], so
+it is the same witness any exact elimination finds.  A false alarm (p
+divides a nonzero determinant) leaves x independent, and the path is
+factored again at the next prime, and the next, until every path pivot and
+x's pivot are nonzero mod p.  That ends: the exact pivots of S + [x] are
+nonzero rationals, and only the finitely many primes that divide one of
+the leading minors det M[S_i,S_i] or det M[S+x,S+x] can make one of them
+vanish mod p.  The search then stays at that prime.  So decisions,
+rank-test counts and witnesses are those of an exact search, at any prime.
+
+Each path vertex keeps the two lists t_k and pivot_{k+1}, of q^n residues
+each (zero below y).  At most max(1, s - 2) vertices are pushed, and s - 1
+while a last-level vertex is pushed for a zero, so with pivot_0 that is at
+most (2s - 1) q^n residues in all, plus the upper triangle of one
+(k+1)-square minor, k < s, kept from the last exact check.
 
 Orbit pruning skips sets that some automorphism g fixing the zero word maps
 to a lexicographically smaller set.  Minimality under one map g is
@@ -121,10 +127,9 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, islice, permutations, product, repeat
-from math import gcd, lcm
+from math import gcd, isqrt
 from operator import gt, mod, mul, sub
 from typing import Optional
 
@@ -144,8 +149,9 @@ MAX_MAP_ENTRIES = 2**20
 # one child per vertex could hold q^2n set entries.
 ROOT_MEMO_VERTICES = 256
 
-# Rank tests run modulo this prime (2^30 - 35); zeros are confirmed over Q.
-# Residues fit one 30-bit digit of a Python int, which multiplies fastest.
+# Rank tests start modulo this prime (2^30 - 35); zeros are confirmed over Q,
+# and a false alarm moves the search to the next prime.  Residues fit one
+# 30-bit digit of a Python int, which multiplies fastest.
 RANK_PRIME = 1_073_741_789
 
 
@@ -412,59 +418,91 @@ class _BudgetExceeded(Exception):
 
 
 class _GramPath:
-    """Right-looking LDL^T factorization of the Gram minor M[S,S] along the DFS path S.
+    """Right-looking LDL^T factorization of the Gram minor M[S,S] along the DFS path S, mod `prime`.
 
-    Kept modulo `prime`, or over Q while `modulus` is None: from a false
-    alarm until the path is back to the length it had then.  For the i-th
-    path vertex v_i, cols[i][z] holds t_i(z), entry i of L^-1 M[S,z], and
-    inverses[i] the reciprocal of its pivot d_i = t_i(v_i).  pivots[k][z]
-    is the Schur pivot of z against the first k path vertices, so
+    For the i-th path vertex v_i, cols[i][z] holds t_i(z), entry i of
+    L^-1 M[S,z], and inverses[i] the reciprocal of its pivot d_i = t_i(v_i).
+    pivots[k][z] is the Schur pivot of z against the first k path vertices, so
     pivots[0][z] = M[z,z].  Both lists of depth i are indexed by vertex and
-    filled for z > v_i only; the entries up to v_i are zero padding.
+    filled for z > v_i only; the entries up to v_i are zero padding.  Every
+    entry is a residue mod `prime`.  `eliminated` holds the vertex and the
+    rows of the last exact check, for `kernel`.
     """
 
     def __init__(self, n: int, q: int, kappa: tuple[int, ...], prime: int):
         self.codes, self.low, self.guard = _word_codes(n, q)
         self.kappa = kappa
-        self.prime = prime
-        self.exact_until = 0  # exact arithmetic while the path is longer
+        self.eliminated: tuple[int, list[list[int]]] = (-1, [])
         self._start(prime)
 
-    def _start(self, modulus: Optional[int]) -> None:
-        """The empty path, mod `modulus` or over Q when it is None."""
-        self.modulus = modulus
+    def _start(self, prime: int) -> None:
+        """The empty path mod `prime`."""
+        self.prime = prime
         self.vertices: list[int] = []
-        self.cols: list[list] = []
-        self.inverses: list = []
-        diagonal = self.kappa[0] % modulus if modulus else self.kappa[0]
-        self.pivots: list[list] = [[diagonal] * len(self.codes)]
+        self.cols: list[list[int]] = []
+        self.inverses: list[int] = []
+        self.pivots: list[list[int]] = [[self.kappa[0] % prime] * len(self.codes)]
 
-    def _refactor(self, modulus: Optional[int]) -> None:
-        path = self.vertices
-        self._start(modulus)
-        for v in path:
-            self.push(v)
-
-    def _row(self, z: int, depth: int) -> list:
+    def _row(self, z: int, depth: int) -> list[int]:
         """Row of L for z against the first `depth` path vertices: t_i(z) / d_i."""
-        row = list(map(mul, [col[z] for col in self.cols[:depth]], self.inverses))
-        p = self.modulus
-        return [value % p for value in row] if p else row
+        row = map(mul, [col[z] for col in self.cols[:depth]], self.inverses)
+        return list(map(mod, row, repeat(self.prime)))
 
-    def test(self, x: int) -> int | Fraction:
-        """Pivot of x, for x > S[-1]; it is 0 exactly when S + [x] is dependent over Q."""
-        if self.modulus is None and len(self.vertices) <= self.exact_until:
-            # the false alarm has left the path, whose pivots are nonzero mod p
-            self._refactor(self.prime)
-        pivot = self.pivots[-1][x]
-        if not pivot and self.modulus is not None:
-            # confirm over Q
-            self.exact_until = len(self.vertices)
-            self._refactor(None)
-            pivot = self.pivots[-1][x]
-        return pivot
+    def test(self, x: int) -> bool:
+        """Whether S + [x] is independent over Q, for x > S[-1].
 
-    def pivots_after(self, x: int, zs) -> list:
+        A pivot that is nonzero mod p proves it.  A zero one is checked over
+        Q; after a false alarm the path is factored again at the next prime
+        at which every path pivot and x's pivot are nonzero.
+        """
+        if self.pivots[-1][x]:
+            return True
+        if not self._exact_pivot(x):
+            return False
+        path = self.vertices  # _start begins a new list
+        while True:
+            self._start(_next_prime(self.prime))
+            for v in path:
+                if not self.pivots[-1][v]:
+                    break
+                self.push(v)
+            else:
+                if self.pivots[-1][x]:
+                    return True
+
+    def _exact_pivot(self, x: int) -> int:
+        """A nonzero multiple of x's pivot over Q, or 0, by elimination of M[S+x,S+x].
+
+        Symmetric Gaussian elimination with no row exchanges: every leading
+        minor det M[S_i,S_i] is nonzero, because every path vertex had a
+        nonzero pivot.  Row i is kept on columns i..k only, as integer
+        numerators over one reduced denominator.  The entry of a later row j
+        in column i, which its multiplier needs, is by symmetry entry j of
+        row i.  The last row's one entry is x's pivot.
+        """
+        codes, low, guard, kappa = self.codes, self.low, self.guard, self.kappa
+        words = [codes[v] for v in self.vertices + [x]]
+        rows = [
+            [kappa[(((a ^ b) + low) & guard).bit_count()] for b in words[i:]]
+            for i, a in enumerate(words)
+        ]
+        dens = [1] * len(rows)
+        for i, row in enumerate(rows):
+            scale = row[0] * dens[i]
+            for j in range(i + 1, len(rows)):
+                if not row[j - i]:
+                    continue
+                # row_j - (row[j-i] / row[0]) row_i, over dens[j] * scale
+                nums = list(map(sub, map(mul, rows[j], repeat(scale)),
+                                map(mul, row[j - i:], repeat(row[j - i] * dens[j]))))
+                den = dens[j] * scale
+                g = gcd(den, *nums)
+                rows[j] = [v // g for v in nums]
+                dens[j] = den // g
+        self.eliminated = (x, rows)
+        return rows[-1][0]
+
+    def pivots_after(self, x: int, zs) -> list[int]:
         """Pivot of each z in zs against S + [x], for x > S[-1] independent of S, without a push.
 
         The same t(z) and pivot_{k+1}(z) that push(x) writes, so a pivot here
@@ -472,26 +510,24 @@ class _GramPath:
         per child: pruning leaves few children, and whole-list passes over
         every z > x would mostly compute entries nothing reads.
         """
-        p, codes, low, guard, kappa = self.modulus, self.codes, self.low, self.guard, self.kappa
+        p, codes, low, guard, kappa = self.prime, self.codes, self.low, self.guard, self.kappa
         cols = self.cols
         pivot = self.pivots[-1]
-        inverse = pow(pivot[x], -1, p) if p else 1 / Fraction(pivot[x])
+        inverse = pow(pivot[x], -1, p)
         row = self._row(x, len(cols))
         word = codes[x]
         out = []
         for z in zs:
             t = kappa[(((word ^ codes[z]) + low) & guard).bit_count()]  # M[x, z]
             t -= sum(map(mul, row, [col[z] for col in cols]))
-            if p:
-                t %= p
+            t %= p
             out.append(pivot[z] - t * t * inverse)
-        return [value % p for value in out] if p else out
+        return [value % p for value in out]
 
     def push(self, y: int) -> None:
         """Append y, whose pivot is nonzero, and eliminate it from every z > y."""
-        p, codes, low, guard = self.modulus, self.codes, self.low, self.guard
-        pivot = self.pivots[-1][y]
-        inverse = pow(pivot, -1, p) if p else 1 / Fraction(pivot)
+        p, codes, low, guard = self.prime, self.codes, self.low, self.guard
+        inverse = pow(self.pivots[-1][y], -1, p)
         ahead = y + 1
         words = map(codes[y].__xor__, codes[ahead:])
         distances = map(int.bit_count, map(guard.__and__, map(low.__add__, words)))
@@ -500,13 +536,12 @@ class _GramPath:
         # element by element, twice as slow once k is in the hundreds
         for col, factor in zip(self.cols, self._row(y, len(self.cols))):
             t = list(map(sub, t, map(mul, repeat(factor), col[ahead:])))
-        if p:
-            t = list(map(mod, t, repeat(p)))
+        t = list(map(mod, t, repeat(p)))
         schur = map(sub, self.pivots[-1][ahead:], map(mul, map(mul, t, t), repeat(inverse)))
         column = [0] * ahead
         column += t
         pivots = [0] * ahead
-        pivots += map(mod, schur, repeat(p)) if p else schur
+        pivots += map(mod, schur, repeat(p))
         self.vertices.append(y)
         self.cols.append(column)
         self.inverses.append(inverse)
@@ -519,22 +554,31 @@ class _GramPath:
         self.pivots.pop()
 
     def kernel(self, x: int) -> list[int]:
-        """Primitive integer c with M[:,S] c[:-1] + c[-1] M[:,x] = 0, over Q.
+        """Primitive integer c with M[:,S] c[:-1] + c[-1] M[:,x] = 0.
 
-        For x with an exact zero pivot: solving L^T c = (t_i(x) / d_i) gives
-        M[S,S] c = M[S,x].
+        For x whose test found an exact zero pivot: back-substitution with
+        c[-1] = -1 on the rows that test eliminated, each step scaled by its
+        pivot to stay integral.  The kernel of M[:,S+x] is one-dimensional,
+        so this is the vector any exact elimination finds.
         """
-        vertices = self.vertices
-        k = len(vertices)
-        rows = [self._row(v, j) for j, v in enumerate(vertices)]
-        c: list = self._row(x, k)
-        for i in reversed(range(k)):
-            c[i] -= sum(rows[j][i] * c[j] for j in range(i + 1, k))
-        c = list(map(Fraction, c)) + [Fraction(-1)]
-        den = lcm(*(v.denominator for v in c))
-        ints = [int(v * den) for v in c]
-        g = gcd(*ints)
-        return [v // g for v in ints]
+        checked, rows = self.eliminated
+        if checked != x or rows[-1][0]:
+            raise RuntimeError(f"vertex {x} has no exact zero pivot on this path")
+        c = [-1]
+        for row in reversed(rows[:-1]):
+            pivot = row[0]
+            c = [-sum(map(mul, row[1:], c))] + [v * pivot for v in c]
+            g = gcd(*c)
+            c = [v // g for v in c]
+        return c
+
+
+def _next_prime(p: int) -> int:
+    """The least prime above p."""
+    p += 1
+    while not all(p % d for d in range(2, isqrt(p) + 1)):
+        p += 1
+    return p
 
 
 def _witness_from_kernel(
@@ -572,7 +616,7 @@ def exists_with_support_at_most(
             raise _BudgetExceeded
         tests += 1
 
-    def test_counted(x: int) -> int | Fraction:
+    def test_counted(x: int) -> bool:
         count()
         return gram.test(x)
 

@@ -102,6 +102,16 @@ class TestGen:
         assert code == 1
         assert "error" in stderr
 
+    @pytest.mark.parametrize("factor", ["a1(1,x)", "a1()"])
+    def test_bad_factor_parameter_named(self, capsys, factor):
+        code, stdout, stderr = run(
+            capsys, "gen", "--family", "f1", "--n", "2", "--q", "3",
+            "--i", "1", "--j", "1", "--factors", factor,
+        )
+        assert code == 1 and stdout == ""
+        assert stderr.startswith(f"error: bad factor {factor!r}: ")
+        assert stderr.count("\n") == 1
+
     def test_missing_argument_exit_1(self, capsys):
         code, _, stderr = run(capsys, "gen", "--family", "f1", "--n", "2")
         assert code == 1

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
 from pathlib import Path
 
@@ -10,6 +10,8 @@ import pytest
 
 from hammingsupport import (
     SearchBudget,
+    build_F1,
+    build_F2,
     SearchStatus,
     exists_with_support_at_most,
     find_minimum,
@@ -238,6 +240,14 @@ class TestWitnessSoundness:
             assert w.support_size() == report.minimum
             assert in_direct_sum(w, lo, hi)
 
+    def test_deep_confirmation_at_q_n_4096(self):
+        # a zero at depth 15 is confirmed on the 16-square minor alone
+        outcome = exists_with_support_at_most(12, 2, 4, 12, 16)
+        assert outcome.status is SearchStatus.FOUND
+        w = outcome.witness
+        assert w.support_size() == 16
+        assert in_direct_sum(w, 4, 12)
+
 
 class TestCanonicity:
     @pytest.mark.parametrize(
@@ -326,7 +336,12 @@ class TestCachedPivots:
             for z in range(path[-1] + 1, size):
                 rows = list(zip(*(columns[x] for x in path + [z])))
                 dependent = fraction_matrix_rank(rows) < len(path) + 1
+                confirmed = not gram.pivots[-1][z]
                 assert (not gram.test(z)) == dependent, (path, z)
+                if confirmed:
+                    # the exact check leaves every path list in residues mod the prime
+                    lists = gram.pivots + gram.cols + [gram.inverses]
+                    assert all(type(v) is int and 0 <= v < gram.prime for v in chain(*lists))
                 if dependent:
                     zeros += 1
                     c = gram.kernel(z)
@@ -347,6 +362,44 @@ class TestCachedPivots:
                 gram.push(rng.choice(independent))
             elif len(path) > 1:
                 gram.pop()
+        assert zeros, "no path reached a dependency"
+
+
+class TestExactCheck:
+    """The exact check on the (k+1)-square minor against an exact rank, on random paths."""
+
+    @pytest.mark.parametrize(
+        "n, q, lo, hi", [(3, 3, 2, 2), (2, 5, 1, 1), (3, 4, 2, 3), (4, 2, 1, 2)]
+    )
+    def test_zero_exactly_when_dependent(self, n, q, lo, hi):
+        size = q**n
+        words = [index_to_word(t, n, q) for t in range(size)]
+        kappa = search._complement_kernel(n, q, lo, hi)
+        columns = [
+            [kappa[hamming_distance(words[y], words[x])] for y in range(size)]
+            for x in range(size)
+        ]
+        # every path holds all but the last vertex of a construction's support
+        f = build_F1(n, q, lo, hi) if lo + hi <= n else build_F2(n, q, lo, hi)
+        support = [x for x, value in enumerate(f.nums) if value]
+        rng = random.Random(size)
+        zeros = 0
+        for _ in range(4):
+            gram = search._GramPath(n, q, kappa, search.RANK_PRIME)
+            found = 0
+            for x in range(size):
+                rows = list(zip(*(columns[v] for v in gram.vertices + [x])))
+                dependent = fraction_matrix_rank(rows) <= len(gram.vertices)
+                assert (not gram._exact_pivot(x)) == dependent, (gram.vertices, x)
+                if dependent:
+                    c = gram.kernel(x)
+                    assert c[-1] and all(sum(map(mul, c, row)) == 0 for row in rows)
+                    found += 1
+                    if found == 3:
+                        break
+                elif x in support or (len(gram.vertices) < 10 and rng.random() < 0.2):
+                    gram.push(x)
+            zeros += found
         assert zeros, "no path reached a dependency"
 
 
@@ -376,17 +429,25 @@ class TestModularRankTests:
     @pytest.mark.parametrize("prime", [2, 3])
     def test_tiny_prime_same_outcomes(self, monkeypatch, prime):
         expected = self.outcomes()
-        switches = []
-        refactor = search._GramPath._refactor
+        checks, primes = [], []
+        exact_pivot, next_prime = search._GramPath._exact_pivot, search._next_prime
 
-        def spy(gram, modulus):
-            switches.append(modulus)
-            refactor(gram, modulus)
+        def spy_check(gram, x):
+            checks.append(exact_pivot(gram, x))
+            return checks[-1]
+
+        def spy_prime(p):
+            primes.append(next_prime(p))
+            return primes[-1]
 
         monkeypatch.setattr(search, "RANK_PRIME", prime)
-        monkeypatch.setattr(search._GramPath, "_refactor", spy)
+        monkeypatch.setattr(search._GramPath, "_exact_pivot", spy_check)
+        monkeypatch.setattr(search, "_next_prime", spy_prime)
         assert self.outcomes() == expected
-        # each witness needs one exact check; more are false alarms
+        # each witness needs one exact zero; a nonzero exact pivot is a false alarm
         found = sum(status is SearchStatus.FOUND for status, _, _ in expected)
-        assert switches.count(None) > found, "the tiny prime raised no false alarm"
-        assert prime in switches, "no search went back to modular arithmetic"
+        alarms = len(checks) - found
+        assert checks.count(0) == found
+        assert alarms, "the tiny prime raised no false alarm"
+        # every false alarm moves the prime, and a zero pivot at the new prime moves it again
+        assert len(primes) > alarms, "no false alarm needed a second prime"
