@@ -1,7 +1,7 @@
 """Decide whether a function is, up to coordinate permutation, an F1/F2 product.
 
 The equality cases of the support bounds are tensor products of elementary
-factors, so membership is decided by iteratively peeling factors off:
+factors, so membership is decided by peeling factors off:
 
   * a coordinate with exactly one nonzero slice carries an a4 factor
     (the surviving slice is the cofactor);
@@ -13,9 +13,21 @@ factors, so membership is decided by iteratively peeling factors off:
     slices must match some a1(k,m) support with all parallel slices equal
     (cofactor h on the row, -h on the column).
 
-These classifications are mutually exclusive and are forced for genuine
-tensor products, so greedy peeling cannot take a wrong branch; every
-certificate is re-validated by exact reconstruction before it is returned.
+Every peel is an exact identity (f = a4(m) (x) f_m, a3 (x) f_0,
+a2(k,m) (x) f_k or a1(k,m) (x) h), so a peel that uses up every coordinate
+is a valid factorization, whatever order it took.  One check of the peeled
+kinds against the family template then decides the family.  The peel runs
+on the integer numerators of f (`reduction.slice_numerators`): every slice
+shares f's denominator, so the zero, equality and negation tests need no
+reduction, and c is the last numerator left over that denominator.
+
+These classifications are mutually exclusive and forced for a genuine
+tensor product, and peeling one factor leaves the kind of every other
+coordinate unchanged.  So a single pass over the coordinates per kind (a4,
+then a3 or a2) finds every factor of that kind: after a hit the next
+coordinate shifts into the same position and is tested there, and no
+coordinate already passed can have turned into a hit.  Every certificate is
+still re-validated by exact reconstruction before it is returned.
 
 The F1 template applies when i + j <= n, the F2 template when i = j > n/2.
 For i < j with i + j > n no product characterization is known, and
@@ -42,7 +54,7 @@ from .constructions import (
     family_template,
     min_support_bound,
 )
-from .reduction import restrict, slices
+from .reduction import slice_numerators
 
 
 class FactorizeStatus(enum.Enum):
@@ -58,22 +70,20 @@ class FactorizeResult:
     reason: str
 
 
-def _match_a1(g: GridFunction, r: int, s: int):
-    """Match g == a1(k,m) on ordered coordinates (r,s) times a cofactor.
+def _slices(g: list[int], n: int, q: int, r: int) -> list[list[int]]:
+    return [slice_numerators(g, n, q, r, k) for k in range(q)]
 
-    Returns (k, m, cofactor) or None.  A product oriented the other way
+
+def _match_a1(g: list[int], n: int, q: int, s: int):
+    """Match g == a1(k,m) on coordinates (0, s) times a cofactor.
+
+    g holds the numerators of a function on n coordinates.  Returns
+    (k, m, cofactor numerators) or None.  A product oriented the other way
     around shows up as the transposed pattern with a negated cofactor, so a
     single ordered test covers both orientations.
     """
-    q = g.q
-    pair_slices = []
-    for x in range(q):
-        gx = restrict(g, r, x)
-        s_adj = s - 1 if s > r else s
-        pair_slices.append([restrict(gx, s_adj, y) for y in range(q)])
-    nonzero = {
-        (x, y) for x in range(q) for y in range(q) if not pair_slices[x][y].is_zero()
-    }
+    pair_slices = [_slices(gx, n - 1, q, s - 1) for gx in _slices(g, n, q, 0)]
+    nonzero = {(x, y) for x in range(q) for y in range(q) if any(pair_slices[x][y])}
     if len(nonzero) != 2 * (q - 1):
         return None
     for k in range(q):
@@ -86,97 +96,74 @@ def _match_a1(g: GridFunction, r: int, s: int):
             h = pair_slices[k][ys[0]]
             if any(pair_slices[k][y] != h for y in ys[1:]):
                 continue
-            minus_h = -h
+            minus_h = [-v for v in h]
             if any(pair_slices[x][m] != minus_h for x in range(q) if x != k):
                 continue
             return k, m, h
     return None
 
 
+# Each detector takes the q slices of one coordinate and returns
+# (factor, cofactor slice) when the coordinate carries that kind, else None.
+
+
+def _detect_a4(parts: list[list[int]]):
+    live = [k for k, part in enumerate(parts) if any(part)]
+    return (a4(live[0]), parts[live[0]]) if len(live) == 1 else None
+
+
+def _detect_a3(parts: list[list[int]]):
+    return (a3(), parts[0]) if parts.count(parts[0]) == len(parts) else None
+
+
+def _detect_a2(parts: list[list[int]]):
+    live = [k for k, part in enumerate(parts) if any(part)]
+    if len(live) != 2 or parts[live[0]] != [-v for v in parts[live[1]]]:
+        return None
+    return a2(*live), parts[live[0]]
+
+
 def _peel(f: GridFunction, family: str, i: int, j: int):
-    """Greedy factor peeling against the family template; None when it fails."""
-    kinds = family_template(family, f.n, i, j)
-    a1_budget = kinds.count("a1")
-    a4_budget = kinds.count("a4")
-    mid_kind = "a2" if family == "F2" else "a3"
-    mid_budget = len(kinds) - a1_budget - a4_budget
+    """Peel f against the family template; None when it fails.
 
-    g = f
+    Returns (items, c): the factors in canonical order, each with the
+    original coordinates it occupies, and the scalar c.
+    """
+    q = f.q
+    g = list(f.nums)
     coords = list(range(f.n))
-    a1_items: list[tuple[ElementaryFactor, tuple[int, int]]] = []
-    mid_items: list[tuple[ElementaryFactor, int]] = []
-    a4_items: list[tuple[ElementaryFactor, int]] = []
 
-    def scan_single(detect):
+    def one_pass(detect) -> list[tuple[ElementaryFactor, tuple[int, ...]]]:
         nonlocal g
-        progress = True
-        while progress and g.n:
-            progress = False
-            for r in range(g.n):
-                if detect(r):
-                    coords.pop(r)
-                    progress = True
-                    break
+        items = []
+        r = 0
+        while r < len(coords):
+            hit = detect(_slices(g, len(coords), q, r))
+            if hit is None:
+                r += 1
+            else:  # the next coordinate shifts into r
+                factor, g = hit
+                items.append((factor, (coords.pop(r),)))
+        return items
 
-    def detect_a4(r: int) -> bool:
-        nonlocal g
-        parts = slices(g, r)
-        live = [k for k, part in enumerate(parts) if not part.is_zero()]
-        if len(live) != 1:
-            return False
-        a4_items.append((a4(live[0]), coords[r]))
-        g = parts[live[0]]
-        return True
-
-    def detect_a3(r: int) -> bool:
-        nonlocal g
-        parts = slices(g, r)
-        if any(part != parts[0] for part in parts[1:]):
-            return False
-        mid_items.append((a3(), coords[r]))
-        g = parts[0]
-        return True
-
-    def detect_a2(r: int) -> bool:
-        nonlocal g
-        parts = slices(g, r)
-        live = [k for k, part in enumerate(parts) if not part.is_zero()]
-        if len(live) != 2 or parts[live[0]] != -parts[live[1]]:
-            return False
-        mid_items.append((a2(live[0], live[1]), coords[r]))
-        g = parts[live[0]]
-        return True
-
-    scan_single(detect_a4)
-    if len(a4_items) > a4_budget:
-        return None
-    scan_single(detect_a3 if mid_kind == "a3" else detect_a2)
-    if len(mid_items) > mid_budget:
-        return None
-
-    while g.n:
-        if len(a1_items) >= a1_budget:
-            return None
-        hit = None
-        for s_pos in range(1, g.n):
-            match = _match_a1(g, 0, s_pos)
+    a4_items = one_pass(_detect_a4)
+    mid_items = one_pass(_detect_a2 if family == "F2" else _detect_a3)
+    a1_items = []
+    while coords:
+        for s in range(1, len(coords)):
+            match = _match_a1(g, len(coords), q, s)
             if match:
-                hit = (s_pos, match)
                 break
-        if hit is None:
+        else:
             return None
-        s_pos, (k, m, cofactor) = hit
-        a1_items.append((a1(k, m), (coords[0], coords[s_pos])))
-        g = cofactor
-        coords = [c for t, c in enumerate(coords) if t not in (0, s_pos)]
+        k, m, g = match
+        a1_items.append((a1(k, m), (coords[0], coords[s])))
+        del coords[s], coords[0]
 
-    if (len(a1_items), len(mid_items), len(a4_items)) != (
-        a1_budget,
-        mid_budget,
-        a4_budget,
-    ):
+    items = a1_items + mid_items + a4_items
+    if [factor.kind for factor, _ in items] != family_template(family, f.n, i, j):
         return None
-    return a1_items, mid_items, a4_items, g.value_at(0)
+    return items, Fraction(g[0], f.den)
 
 
 def factorize(f: GridFunction, lo: int, hi: int) -> FactorizeResult:
@@ -204,16 +191,9 @@ def factorize(f: GridFunction, lo: int, hi: int) -> FactorizeResult:
             None,
             f"no {family}({n},{q},{lo},{hi}) factorization exists",
         )
-    a1_items, mid_items, a4_items, c = peeled
+    items, c = peeled
 
-    factors = [fac for fac, _ in a1_items]
-    factors += [fac for fac, _ in mid_items]
-    factors += [fac for fac, _ in a4_items]
-    slots: list[int] = []
-    for _, pair in a1_items:
-        slots.extend(pair)
-    slots.extend(pos for _, pos in mid_items)
-    slots.extend(pos for _, pos in a4_items)
+    factors = [factor for factor, _ in items]
     # c > 0 whenever an a2 factor can absorb the sign
     if c < 0:
         for t, fac in enumerate(factors):
@@ -223,11 +203,10 @@ def factorize(f: GridFunction, lo: int, hi: int) -> FactorizeResult:
                 break
     # sigma sends each original coordinate to its canonical slot
     sigma = [0] * n
+    slots = [original for _, originals in items for original in originals]
     for slot, original in enumerate(slots):
         sigma[original] = slot
-    certificate = FactorizationCertificate(
-        family, q, tuple(sigma), tuple(factors), Fraction(c)
-    )
+    certificate = FactorizationCertificate(family, q, tuple(sigma), tuple(factors), c)
     if not certificate.matches(f):
         raise RuntimeError("peeling produced an invalid certificate")
     return FactorizeResult(FactorizeStatus.CERTIFIED, certificate, "")

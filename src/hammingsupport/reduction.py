@@ -25,16 +25,34 @@ the first q-1 slices coincide,
 
 Checkers return structured reports rather than booleans so that failures
 carry the offending slice pair.
+
+Every slice of f = nums / den has the same denominator den, so two slices
+are equal, negatives of each other or zero exactly when their numerators
+are, and a slice and its numerators have the same support.
+`slice_numerators` cuts a slice out of the numerator tuple; `restrict`
+reduces it to a GridFunction, while `is_uniform`,
+`support_lower_bound_inequality` and the factorizer in `characterize`
+compare and count the integer slices directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from operator import ne
+from typing import Optional, Sequence
 
 from .core import GridFunction
 from .spectra import in_direct_sum, validate_range
+
+
+def slice_numerators(nums: Sequence[int], n: int, q: int, r: int, k: int) -> list[int]:
+    """The entries of nums (q^n, in index order) whose word has symbol k at coordinate r."""
+    low = q ** (n - 1 - r)
+    if low == 1:
+        return list(nums[k::q])
+    blocks = range(k * low, len(nums), q * low)
+    return list(chain.from_iterable(nums[base : base + low] for base in blocks))
 
 
 def restrict(f: GridFunction, r: int, k: int) -> GridFunction:
@@ -46,14 +64,7 @@ def restrict(f: GridFunction, r: int, k: int) -> GridFunction:
         raise ValueError(f"coordinate {r} out of range [0, {n})")
     if not 0 <= k < q:
         raise ValueError(f"symbol {k} out of range for q = {q}")
-    low = q ** (n - 1 - r)
-    nums = f.nums
-    if low == 1:
-        part = nums[k::q]
-    else:
-        blocks = range(k * low, len(nums), q * low)
-        part = chain.from_iterable(nums[base : base + low] for base in blocks)
-    return GridFunction._reduced(n - 1, q, part, f.den)
+    return GridFunction._reduced(n - 1, q, slice_numerators(f.nums, n, q, r, k), f.den)
 
 
 def slices(f: GridFunction, r: int) -> list[GridFunction]:
@@ -73,7 +84,7 @@ def is_uniform(f: GridFunction) -> UniformityReport:
         raise ValueError("uniformity needs at least one coordinate")
     witnesses: list[Optional[int]] = []
     for r in range(f.n):
-        parts = slices(f, r)
+        parts = [slice_numerators(f.nums, f.n, f.q, r, k) for k in range(f.q)]
         found: Optional[int] = None
         for l in range(f.q):
             rest = [parts[k] for k in range(f.q) if k != l]
@@ -186,8 +197,9 @@ class SliceBoundReport:
 
 def support_lower_bound_inequality(f: GridFunction, r: int) -> SliceBoundReport:
     """Support bound from equal leading slices; needs slices 0..q-2 equal."""
-    parts = slices(f, r)
+    parts = [slice_numerators(f.nums, f.n, f.q, r, k) for k in range(f.q)]
     q = f.q
     equal = all(parts[k] == parts[0] for k in range(q - 1))
-    rhs = (q - 2) * parts[0].support_size() + (parts[q - 2] - parts[q - 1]).support_size()
+    differs = sum(map(ne, parts[q - 2], parts[q - 1]))
+    rhs = (q - 2) * (len(parts[0]) - parts[0].count(0)) + differs
     return SliceBoundReport(equal, f.support_size(), rhs)

@@ -111,10 +111,8 @@ the maps that fix its prefix and the maps whose tie child it took; a map
 whose tie child falls behind the prefix needs no further work.
 
 Nodes are never mutated once built, so one root per (n, q) serves every
-search on it (`_pruning_root`), and up to ROOT_MEMO_VERTICES vertices it
-keeps the children it hands out.  No deeper node is kept, which bounds what
-the cache holds by q^n nodes per root.  With pruning off, or no map in the
-table, no node is built: the candidates are plain ranges.
+search on it (`_pruning_root`); no other node is kept.  With pruning off,
+or no map in the table, no node is built: the candidates are plain ranges.
 
 The depth-first search keeps an explicit stack of (node, remaining
 children) frames, so the depth of a path is not bounded by Python's
@@ -142,12 +140,6 @@ from .constructions import build_F1, build_F2, min_support_bound, SupportBound
 # (coordinate permutations first), which is sound and only prunes less.
 MAX_STABILIZER = 20_000
 MAX_MAP_ENTRIES = 2**20
-
-# The pruning root keeps its children up to this many vertices.  A child
-# holds sets of at most q^n vertices, so all of them take at most a few MB
-# (3.7 MB at n = 8, q = 2, the most among q^n <= 256); above, a root with
-# one child per vertex could hold q^2n set entries.
-ROOT_MEMO_VERTICES = 256
 
 # Rank tests start modulo this prime (2^30 - 35); zeros are confirmed over Q,
 # and a false alarm moves the search to the next prime.  Residues fit one
@@ -386,31 +378,9 @@ class _Canon:
         return _Canon(prefix, fixers, ties, frozenset(thresholds), self.size)
 
 
-class _Root(_Canon):
-    """The node [0], which keeps the children it hands out when q^n <= ROOT_MEMO_VERTICES.
-
-    Nodes are never mutated after construction, so one root, and the
-    children it keeps, serve every search on (n, q).  No deeper node is kept.
-    """
-
-    __slots__ = ("children",)
-
-    def __init__(self, maps: tuple, size: int):
-        super().__init__([0], list(maps), {}, frozenset(), size)
-        self.children: Optional[dict[int, _Canon]] = {} if size <= ROOT_MEMO_VERTICES else None
-
-    def child(self, x: int) -> _Canon:
-        if self.children is None:
-            return super().child(x)
-        node = self.children.get(x)
-        if node is None:
-            node = self.children[x] = super().child(x)
-        return node
-
-
 @lru_cache(maxsize=8)
-def _pruning_root(n: int, q: int) -> _Root:
-    return _Root(_pruning_maps(n, q), q**n)
+def _pruning_root(n: int, q: int) -> _Canon:
+    return _Canon([0], list(_pruning_maps(n, q)), {}, frozenset(), q**n)
 
 
 class _BudgetExceeded(Exception):
@@ -622,7 +592,7 @@ def exists_with_support_at_most(
 
     # the node of prefix + [x] and an iterator over its orbit-minimal children
     if maps:
-        root: Optional[_Root] = _pruning_root(n, q)
+        root: Optional[_Canon] = _pruning_root(n, q)
 
         def expand(canon, x):
             child = canon.child(x)

@@ -8,7 +8,9 @@ with eigenspaces U_i(n,q) and orthogonal projectors E_i.  Both integer
 passes below split one coordinate at a time into its constants and its
 zero-sum vectors: a graded tensor transform builds projections, and a slice
 descent decides membership and the spectral profile without building any
-projection.
+projection.  There is no separate adjacency pass: A f is the sum of
+lambda_w E_w f read off the graded transform, and since the lambda_w are
+distinct, f is a lambda_i-eigenfunction exactly when it lies in U_i.
 
 Graded transform.  On a single coordinate, Q^q splits into the constants,
 the range of P0 = J/q (J the all-ones q x q matrix), and the zero-sum
@@ -70,8 +72,8 @@ Membership asks about the weights outside [lo, hi] and stops at the first
 nonzero one; the profile asks about all of them and stops once each is
 found.  The recursion is at most n + 1 deep, and n <= 16 under the vertex
 cap.  A dense member of a single eigenspace keeps nearly every branch open
-down to two coordinates, which costs O(n q^n), as one adjacency pass does;
-sparse input, non-members and wide windows stop far earlier.
+down to two coordinates, which costs O(n q^n); sparse input, non-members
+and wide windows stop far earlier.
 
 There is no tolerance parameter anywhere (exact equality or nothing).  The
 graded transform holds n+1 integer arrays of q^n entries and the descent a
@@ -84,7 +86,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Sequence
 
 from .core import GridFunction, ScaleError  # noqa: F401  ScaleError re-exported
@@ -264,26 +266,12 @@ def _slice_sum_and_differences(g: Sequence[int], q: int):
 
 
 def apply_adjacency(f: GridFunction) -> GridFunction:
-    """(Af)(x) = sum of f over the neighbors of x."""
-    out = _apply_adjacency_int(f.nums, f.n, f.q)
-    return GridFunction._reduced(f.n, f.q, out, f.den)
-
-
-def _apply_adjacency_int(nums: list[int], n: int, q: int) -> list[int]:
-    out = [0] * len(nums)
-    for _ in range(n):
-        fibers, sums = _split_last(nums, q)
-        out = [
-            o + t - v
-            for s, fiber in enumerate(fibers)
-            for o, v, t in zip(out[s::q], fiber, sums)
-        ]
-        nums = [v for fiber in fibers for v in fiber]
-    return out
+    """(Af)(x) = sum of f over the neighbors of x, as the sum of lambda_w E_w f."""
+    lams = [eigenvalue(f.n, f.q, w) for w in range(f.n + 1)]
+    nums = (sum(map(mul, lams, column)) for column in zip(*_graded(f)))
+    return GridFunction._reduced(f.n, f.q, nums, f.den * f.q**f.n)
 
 
 def is_eigenfunction(f: GridFunction, i: int) -> bool:
-    """Whether A f = lambda_i(n,q) f exactly (vacuously true for f = 0)."""
-    _check_eigenindex(f.n, i)
-    lam = eigenvalue(f.n, f.q, i)
-    return _apply_adjacency_int(f.nums, f.n, f.q) == [lam * v for v in f.nums]
+    """Whether A f = lambda_i(n,q) f exactly (vacuously true for f = 0), that is f in U_i."""
+    return in_direct_sum(f, i, i)

@@ -12,11 +12,13 @@ from hammingsupport import (
     a1,
     a2,
     a3,
+    a4,
     build_F1,
     build_F2,
     counterexample_g,
     counterexample_h,
     counterexample_v,
+    elementary,
     factorize,
     is_minimum_and_characterized,
 )
@@ -80,6 +82,47 @@ class TestRoundTrip:
         assert result.certificate.c == Fraction(2, 7)
 
 
+class TestPinnedCertificates:
+    """Exact certificates (sigma, factors, c) for layouts that exercise each peel."""
+
+    @pytest.mark.parametrize(
+        "f, lo, hi, family, sigma, factors, c",
+        [
+            # a4 coordinates side by side: the second shifts into the first's place
+            (build_F1(3, 3, 0, 2, [a3(), a4(1), a4(2)], c=Fraction(5, 2)).permute((2, 0, 1)),
+             0, 2, "F1", (1, 2, 0), ["a3", "a4(1)", "a4(2)"], Fraction(5, 2)),
+            # an a3 between two a4 coordinates
+            (build_F1(3, 3, 0, 2, [a3(), a4(0), a4(2)], c=-4).permute((1, 0, 2)),
+             0, 2, "F1", (1, 0, 2), ["a3", "a4(0)", "a4(2)"], Fraction(-4)),
+            (build_F1(5, 4, 1, 3, [a1(2, 0), a3(), a4(3), a4(1)], c=Fraction(-7, 3))
+             .permute((3, 1, 4, 0, 2)),
+             1, 3, "F1", (3, 0, 4, 1, 2), ["a1(0,2)", "a3", "a4(3)", "a4(1)"], Fraction(7, 3)),
+            # an a1 pair in the transposed orientation
+            (build_F1(2, 4, 1, 1, [a1(1, 2)], c=Fraction(3, 4)).permute((1, 0)),
+             1, 1, "F1", (0, 1), ["a1(2,1)"], Fraction(-3, 4)),
+            # q = 2: a1(1,1) = -a1(0,0), and the smaller k wins
+            (build_F1(2, 2, 1, 1, [a1(1, 1)], c=3),
+             1, 1, "F1", (0, 1), ["a1(0,0)"], Fraction(-3)),
+            (build_F1(3, 2, 1, 1, [a1(1, 0), a3()], c=-1).permute((2, 0, 1)),
+             1, 1, "F1", (0, 2, 1), ["a1(0,1)", "a3"], Fraction(1)),
+            # a negative c absorbed by the first a2
+            (build_F2(4, 3, 3, 3, [a1(0, 2), a2(2, 1), a2(0, 1)], c=Fraction(-5, 2))
+             .permute((2, 3, 0, 1)),
+             3, 3, "F2", (2, 3, 0, 1), ["a1(0,2)", "a2(1,2)", "a2(0,1)"], Fraction(5, 2)),
+            # q = 2: each a1 coordinate has two nonzero slices, not negatives
+            (build_F2(3, 2, 2, 2, [a1(0, 1), a2(1, 0)], c=Fraction(-2, 3)).permute((1, 2, 0)),
+             2, 2, "F2", (2, 0, 1), ["a1(0,1)", "a2(0,1)"], Fraction(2, 3)),
+        ],
+    )
+    def test_certificate(self, f, lo, hi, family, sigma, factors, c):
+        result = factorize(f, lo, hi)
+        assert result.status is FactorizeStatus.CERTIFIED
+        cert = result.certificate
+        assert (cert.family, cert.sigma, list(map(str, cert.factors)), cert.c) == (
+            family, sigma, factors, c
+        )
+
+
 class TestNormalization:
     def test_negative_scalar_absorbed_by_a2(self):
         f = build_F2(2, 5, 2, 2, [a2(0, 4), a2(1, 2)], c=-3)
@@ -106,6 +149,13 @@ class TestNegativeFixtures:
             result = factorize(counterexample_g(q), 1, 2)
             assert result.status is FactorizeStatus.UNCHARACTERIZED_REGIME
             assert result.certificate is None
+
+    def test_wrong_template_rejected(self):
+        # a3 x a4 lies in U_[0,1] inside U_[0,2], whose F1 template is a4 x a4
+        f = elementary(a3(), 3).tensor(elementary(a4(1), 3))
+        result = factorize(f, 0, 2)
+        assert result.status is FactorizeStatus.NOT_IN_FAMILY
+        assert result.certificate is None
 
     def test_v_rejected(self):
         result = factorize(counterexample_v(), 2, 2)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hammingsupport import (
@@ -19,7 +21,13 @@ from hammingsupport import (
     support_lower_bound_inequality,
 )
 
-from conftest import random_family_instance, random_member, random_values
+from conftest import (
+    fraction_restrict,
+    fraction_sub,
+    random_family_instance,
+    random_member,
+    random_values,
+)
 
 
 class TestRestrict:
@@ -225,3 +233,54 @@ class TestSliceInequality:
         g = elementary(a3(), 3).tensor(elementary(a2(0, 2), 3))
         report = support_lower_bound_inequality(g, 0)
         assert report.precondition_ok and report.passed
+
+
+class TestNumeratorSlices:
+    """is_uniform and the slice inequality on numerators, against Fraction slices."""
+
+    @staticmethod
+    def mixed_denominators(n, q, r, l, rng):
+        """Slices at r all equal one function over halves, except slice l over thirds."""
+        base = [Fraction(rng.randint(-2, 2), 2) for _ in range(q ** (n - 1))]
+        odd = [Fraction(rng.randint(-2, 2), 3) for _ in range(q ** (n - 1))]
+
+        def value(w):
+            rest = w[:r] + w[r + 1:]
+            index = sum(x * q ** (n - 2 - t) for t, x in enumerate(rest))
+            return (odd if w[r] == l else base)[index]
+
+        return GridFunction.from_callable(n, q, value)
+
+    @staticmethod
+    def witness(parts):
+        for e in range(len(parts)):
+            rest = parts[:e] + parts[e + 1:]
+            if rest.count(rest[0]) == len(rest):
+                return e
+        return None
+
+    def test_against_fraction_slices(self, rng):
+        def support(values):
+            return sum(map(bool, values))
+
+        mixed = 0
+        for n, q in ((2, 3), (3, 3), (2, 4), (3, 2), (2, 5)):
+            for _ in range(6):
+                r0, l = rng.randrange(n), rng.randrange(q)
+                f = self.mixed_denominators(n, q, r0, l, rng)
+                values = list(f.values)
+                witnesses = is_uniform(f).witnesses
+                for r in range(n):
+                    parts = [fraction_restrict(values, n, q, r, k) for k in range(q)]
+                    assert witnesses[r] == self.witness(parts), (n, q, r)
+                    report = support_lower_bound_inequality(f, r)
+                    equal = all(parts[k] == parts[0] for k in range(q - 1))
+                    rhs = (q - 2) * support(parts[0]) + support(
+                        fraction_sub(parts[q - 2], parts[q - 1])
+                    )
+                    assert (report.precondition_ok, report.lhs, report.rhs) == (
+                        equal, support(values), rhs
+                    ), (n, q, r)
+                # the slices reduce to different denominators
+                mixed += len({restrict(f, r0, k).den for k in range(q)}) > 1
+        assert mixed > 10
