@@ -49,12 +49,16 @@ which are tested and never extended.  Their pivots,
     pivot_{k+1}(z) = pivot_k(z) - t^2 / d_x,  t = M[x,z] - sum over i < k of L[x][i] t_i(z),
 
 come from x's row of L and one inverse of x's pivot d_x, for the children
-that pruning allows only.  They are the residues push(x) would write, so
-each reads zero exactly when the lookup after a push would.  A zero is
-confirmed as below with x pushed; the remaining children are tested on that
-path, and x is popped at the end.  The tests, their order and the budget
-check before each one are those of the pushed form, so decisions, counts
-and witnesses do not move.
+that pruning allows only, all in one pass per parent x.  They are the
+residues push(x) would write, so each reads zero exactly when the lookup
+after a push would.  The entries t_i(z) are gathered into one list per
+vertex z, at most once per path and prime, and shared by every parent x
+of that level.  The tests up to and including the first zero are counted
+in one step; when that step passes the cap, the count stops at the cap,
+as it does when each test is counted before it runs.  A zero is confirmed
+as below with x pushed; the remaining children are tested and counted one
+by one on that path, and x is popped at the end.  So decisions, counts
+and witnesses are those of the pushed form.
 
 The factorization is kept modulo a prime p, at first RANK_PRIME < 2^30.  A
 pivot that is nonzero mod p proves det M[S+x,S+x] != 0 over Q (rank mod p
@@ -79,7 +83,9 @@ Each path vertex keeps the two lists t_k and pivot_{k+1}, of q^n residues
 each (zero below y).  At most max(1, s - 2) vertices are pushed, and s - 1
 while a last-level vertex is pushed for a zero, so with pivot_0 that is at
 most (2s - 1) q^n residues in all, plus the upper triangle of one
-(k+1)-square minor, k < s, kept from the last exact check.
+(k+1)-square minor, k < s, kept from the last exact check, and the lists
+gathered at the last level: at most (s - 2) q^n more references to those
+residues.
 
 Orbit pruning skips sets that some automorphism g fixing the zero word maps
 to a lexicographically smaller set.  Minimality under one map g is
@@ -91,15 +97,16 @@ preserve the subspace, pruning never changes any decision, only the node
 count.  The same holds for any subset of the stabilizer, which only prunes
 less, so the map count is capped.
 
-Canonicity is decided once per node, not once per child.  Let P be
+Canonicity is decided in one pass per node, not once per child.  Let P be
 the orbit-minimal prefix at a node, T = sorted g(P) >= P, and x > P[-1] a
 child; sorted g(P + [x]) is T with g(x) inserted.  If T == P, it is smaller
 than P + [x] exactly when g(x) < x.  Otherwise let r be the first position
 with T[r] > P[r].  Every child with g(x) < P[r] gives a smaller image, every
 child with g(x) > P[r] a larger one, and the single tie child
-x = g^-1(P[r]) gives P[:r+1] + T[r:], which is smaller exactly when
-T[r:] < P[r+1:] + [x].  The union of these sets over all maps is exactly
-the set of children that are not orbit-minimal.
+x = g^-1(P[r]) is decided by comparing sorted g(P + [x]) with P + [x]
+directly.  The union of these sets over all maps is exactly the set of
+children that are not orbit-minimal.  The node's pass removes them from
+the vertices after P[-1], and the DFS walks the list that is left.
 
 Most of that work is inherited down the tree.  For sorted sets of equal
 size, A < B exactly when the least element of their symmetric difference
@@ -110,9 +117,12 @@ leaves r, and so the tie child, as they were.  So each node only revisits
 the maps that fix its prefix and the maps whose tie child it took; a map
 whose tie child falls behind the prefix needs no further work.
 
-Nodes are never mutated once built, so one root per (n, q) serves every
-search on it (`_pruning_root`); no other node is kept.  With pruning off,
-or no map in the table, no node is built: the candidates are plain ranges.
+What a node passes down (its tie buckets and merged thresholds) is built
+only when the DFS takes one of its children, and at most once, so a
+parent of the last level never builds it.  A node's children are fixed
+when it is made, so one root per (n, q) serves every search on it
+(`_pruning_root`); no other node is kept.  With pruning off, or no map in
+the table, no node is built: the candidates are plain ranges.
 
 The depth-first search keeps an explicit stack of (node, remaining
 children) frames, so the depth of a path is not bounded by Python's
@@ -126,9 +136,9 @@ import enum
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, islice, permutations, product, repeat
+from itertools import chain, compress, filterfalse, permutations, product, repeat
 from math import gcd, isqrt
-from operator import gt, mod, mul, sub
+from operator import itemgetter, le, mod, mul, sub
 from typing import Optional
 
 from .core import MAX_VERTICES, GridFunction, exceeds_vertex_cap, validate_alphabet
@@ -305,48 +315,57 @@ def _pruning_maps(n: int, q: int) -> tuple[tuple[array, array], ...]:
 
 
 class _Canon:
-    """Which children of one DFS node are orbit-minimal; see the module docstring.
+    """The orbit-minimal children of one DFS node; see the module docstring.
 
-    `fixers` holds the maps (g, ginv) that fix the prefix setwise.  Every
-    other map g has a first position r where sorted g(prefix) exceeds the
-    prefix; while its tie child t = ginv[prefix[r]] lies ahead, it is kept
-    as (g, ginv, r) in `ties[t]`, and r and t stay put until the DFS takes t.
-    `thresholds` is the union of {y : g(y) < prefix[r]} over every such map,
-    here or at an ancestor.  Each of those vertices stays a non-minimal
-    child all the way down, so the set and the tie buckets are shared with
-    descendants and never mutated.
+    `children` lists, in increasing order, the x > prefix[-1] for which
+    prefix + [x] is orbit-minimal; `child` finds them in one pass when it
+    makes the node.  `fixers` holds the maps (g, ginv) that fix the prefix
+    setwise.  Every other map g has a first position r where sorted
+    g(prefix) exceeds the prefix; while its tie child t = ginv[prefix[r]]
+    lies ahead, it is kept as (g, ginv, r) in `ties[t]`, and r and t stay
+    put until the DFS takes t.  `thresholds` is the union of
+    {y : g(y) < prefix[r]} over every such map, here or at an ancestor.
+    Each of those vertices stays a non-minimal child all the way down, so
+    the set and the tie buckets are shared with descendants and never
+    mutated.
+
+    `ties` and `thresholds` serve only the passes of this node's own
+    children.  So a node keeps its parent's two and the thresholds and tie
+    buckets its own step adds, and merges them when `child` is first called
+    on it.  The DFS never calls `child` on a parent of the last level, so
+    those nodes never pay for the merge.
     """
 
-    __slots__ = ("prefix", "fixers", "ties", "thresholds", "size", "skip")
+    __slots__ = ("prefix", "fixers", "children", "size", "ties", "thresholds", "_pending")
 
-    def __init__(self, prefix: list[int], fixers: list, ties: dict, thresholds: frozenset,
-                 size: int):
+    def __init__(self, prefix: list[int], fixers: list, children: list[int], size: int,
+                 pending: Optional[tuple]):
         self.prefix = prefix
         self.fixers = fixers
-        self.ties = ties
-        self.thresholds = thresholds
+        self.children = children
         self.size = size
-        last = prefix[-1]
-        children = range(last + 1, size)
-        descents = [
-            compress(children, map(gt, children, islice(g, last + 1, None)))
-            for g, _ in fixers
-        ]
-        self.skip = thresholds.union(*descents) if descents else thresholds
+        # (parent's ties, parent's thresholds, new thresholds, new tie buckets)
+        # until `_merge` turns them into `ties` and `thresholds`; the empty
+        # prefix, where every map is a fixer, has none
+        self._pending: Optional[tuple] = pending
+        self.ties: dict = {}
+        self.thresholds: frozenset = frozenset()
 
-    def allows(self, x: int) -> bool:
-        """Whether prefix + [x] is orbit-minimal, for a child x > prefix[-1]."""
-        if x in self.skip:
-            return False
-        prefix = self.prefix
-        for g, _, r in self.ties.get(x, ()):
-            image = sorted(map(g.__getitem__, prefix))
-            if image[r:] < prefix[r + 1:] + [x]:
-                return False
-        return True
+    def _merge(self) -> None:
+        """Merge the parent's ties and thresholds with those this node's step adds."""
+        ties, thresholds, raised, new_ties = self._pending
+        x = self.prefix[-1]
+        ties = {t: bucket for t, bucket in ties.items() if t > x}
+        for tie, bucket in new_ties.items():
+            ties[tie] = ties[tie] + bucket if tie in ties else bucket
+        if raised:
+            thresholds = thresholds.union(raised)
+        self.ties, self.thresholds, self._pending = ties, thresholds, None
 
     def child(self, x: int) -> "_Canon":
-        """The node prefix + [x], for an allowed child x."""
+        """The node prefix + [x] and its orbit-minimal children, for a child x of this node."""
+        if self._pending is not None:
+            self._merge()
         prefix = self.prefix + [x]
         fixers = []
         moved = []  # maps whose r or tie child changes at this step
@@ -354,33 +373,57 @@ class _Canon:
             g, ginv = pair
             if g[x] == x:
                 fixers.append(pair)
-            else:  # g(x) > x, since x is allowed
+            else:  # g(x) > x, since x is a child
                 moved.append((g, ginv, len(prefix) - 1))
-        for g, ginv, r in self.ties.get(x, ()):  # the tie child was taken
-            image = sorted(map(g.__getitem__, prefix))
-            if image == prefix:
-                fixers.append((g, ginv))
-                continue
-            while image[r] == prefix[r]:
-                r += 1
-            moved.append((g, ginv, r))
-        ties = {t: bucket for t, bucket in self.ties.items() if t > x}
+        ties = self.ties
+        taken = ties.get(x)  # the maps whose tie child is x
+        if taken:
+            members = itemgetter(*prefix)  # prefix holds 0 and x, so members(g) is a tuple
+            for g, ginv, r in taken:
+                image = sorted(members(g))
+                if image == prefix:
+                    fixers.append((g, ginv))
+                    continue
+                while image[r] == prefix[r]:
+                    r += 1
+                moved.append((g, ginv, r))
         new_ties: dict[int, list] = {}
-        thresholds = set(self.thresholds) if moved else self.thresholds
+        raised = set()  # the new thresholds
         for entry in moved:
             _, ginv, r = entry
-            thresholds.update(ginv[:prefix[r]])
+            raised.update(ginv[:prefix[r]])
             tie = ginv[prefix[r]]
             if tie > x:
                 new_ties.setdefault(tie, []).append(entry)
-        for tie, bucket in new_ties.items():
-            ties[tie] = ties[tie] + bucket if tie in ties else bucket
-        return _Canon(prefix, fixers, ties, frozenset(thresholds), self.size)
+
+        # the pass: thresholds here and above, then descents of the fixers,
+        # then the tie buckets
+        thresholds = self.thresholds
+        children = list(filterfalse(raised.__contains__, filterfalse(
+            thresholds.__contains__, range(x + 1, self.size))))
+        for g, _ in fixers:
+            children = list(compress(children, map(le, children, map(g.__getitem__, children))))
+        for buckets in (ties, new_ties):
+            for t, bucket in buckets.items():
+                if t in children and _tie_smaller(prefix, bucket, t):
+                    children.remove(t)
+        return _Canon(prefix, fixers, children, self.size, (ties, thresholds, raised, new_ties))
+
+
+def _tie_smaller(prefix: list[int], bucket: list, z: int) -> bool:
+    """Whether some map whose tie child is z sends prefix + [z] to a smaller set."""
+    members = prefix + [z]
+    image = itemgetter(*members)
+    for g, _, _ in bucket:
+        if sorted(image(g)) < members:
+            return True
+    return False
 
 
 @lru_cache(maxsize=8)
 def _pruning_root(n: int, q: int) -> _Canon:
-    return _Canon([0], list(_pruning_maps(n, q)), {}, frozenset(), q**n)
+    """The node [0]: every map fixes the zero word."""
+    return _Canon([], list(_pruning_maps(n, q)), [], q**n, None).child(0)
 
 
 class _BudgetExceeded(Exception):
@@ -395,8 +438,13 @@ class _GramPath:
     pivots[k][z] is the Schur pivot of z against the first k path vertices, so
     pivots[0][z] = M[z,z].  Both lists of depth i are indexed by vertex and
     filled for z > v_i only; the entries up to v_i are zero padding.  Every
-    entry is a residue mod `prime`.  `eliminated` holds the vertex and the
-    rows of the last exact check, for `kernel`.
+    entry is a residue mod `prime`.  `_gathered` holds k and, for the
+    vertices z that `pivots_after` has read on a path of k vertices, the
+    entries [t_0(z), ..., t_{k-1}(z)].  They depend on those k vertices and
+    the prime only, so a push and pop above them leave them valid; `pop`
+    drops them when it removes one of the k, and `_start` whenever it begins
+    a path.  `eliminated` holds the vertex and the rows of the last exact
+    check, for `kernel`.
     """
 
     def __init__(self, n: int, q: int, kappa: tuple[int, ...], prime: int):
@@ -412,10 +460,11 @@ class _GramPath:
         self.cols: list[list[int]] = []
         self.inverses: list[int] = []
         self.pivots: list[list[int]] = [[self.kappa[0] % prime] * len(self.codes)]
+        self._gathered: Optional[tuple[int, dict[int, list[int]]]] = None
 
-    def _row(self, z: int, depth: int) -> list[int]:
-        """Row of L for z against the first `depth` path vertices: t_i(z) / d_i."""
-        row = map(mul, [col[z] for col in self.cols[:depth]], self.inverses)
+    def _row(self, z: int) -> list[int]:
+        """Row of L for z against the path: t_i(z) / d_i."""
+        row = map(mul, [col[z] for col in self.cols], self.inverses)
         return list(map(mod, row, repeat(self.prime)))
 
     def test(self, x: int) -> bool:
@@ -476,23 +525,33 @@ class _GramPath:
         """Pivot of each z in zs against S + [x], for x > S[-1] independent of S, without a push.
 
         The same t(z) and pivot_{k+1}(z) that push(x) writes, so a pivot here
-        is zero exactly when test(z) after push(x) reads zero.  Scalar steps
-        per child: pruning leaves few children, and whole-list passes over
-        every z > x would mostly compute entries nothing reads.
+        is zero exactly when test(z) after push(x) reads zero.  The entries
+        t_i(z) of each vertex are gathered into `_gathered` the first time a
+        parent on this path reads them, and every later parent of the same
+        last level reads that list.  A vertex no parent reaches is never
+        gathered, so sparse children cost no pass over all q^n vertices.
         """
         p, codes, low, guard, kappa = self.prime, self.codes, self.low, self.guard, self.kappa
         cols = self.cols
+        if self._gathered is None or self._gathered[0] != len(cols):
+            self._gathered = (len(cols), {})
+        gathered = self._gathered[1]
         pivot = self.pivots[-1]
         inverse = pow(pivot[x], -1, p)
-        row = self._row(x, len(cols))
+        entries = gathered.get(x)
+        if entries is None:
+            entries = gathered[x] = [col[x] for col in cols]
+        row = [t * d % p for t, d in zip(entries, self.inverses)]
         word = codes[x]
         out = []
         for z in zs:
+            entries = gathered.get(z)
+            if entries is None:
+                entries = gathered[z] = [col[z] for col in cols]
             t = kappa[(((word ^ codes[z]) + low) & guard).bit_count()]  # M[x, z]
-            t -= sum(map(mul, row, [col[z] for col in cols]))
-            t %= p
-            out.append(pivot[z] - t * t * inverse)
-        return [value % p for value in out]
+            t = (t - sum(map(mul, row, entries))) % p
+            out.append((pivot[z] - t * t * inverse) % p)
+        return out
 
     def push(self, y: int) -> None:
         """Append y, whose pivot is nonzero, and eliminate it from every z > y."""
@@ -504,7 +563,7 @@ class _GramPath:
         t = list(map(self.kappa.__getitem__, distances))  # M[y, z]
         # a list per depth: a lazy chain of k maps reads the k columns
         # element by element, twice as slow once k is in the hundreds
-        for col, factor in zip(self.cols, self._row(y, len(self.cols))):
+        for col, factor in zip(self.cols, self._row(y)):
             t = list(map(sub, t, map(mul, repeat(factor), col[ahead:])))
         t = list(map(mod, t, repeat(p)))
         schur = map(sub, self.pivots[-1][ahead:], map(mul, map(mul, t, t), repeat(inverse)))
@@ -522,6 +581,8 @@ class _GramPath:
         self.cols.pop()
         self.inverses.pop()
         self.pivots.pop()
+        if self._gathered is not None and len(self.cols) < self._gathered[0]:
+            self._gathered = None
 
     def kernel(self, x: int) -> list[int]:
         """Primitive integer c with M[:,S] c[:-1] + c[-1] M[:,x] = 0.
@@ -590,40 +651,46 @@ def exists_with_support_at_most(
         count()
         return gram.test(x)
 
-    # the node of prefix + [x] and an iterator over its orbit-minimal children
+    # the node of prefix + [x] and its orbit-minimal children, in order
     if maps:
         root: Optional[_Canon] = _pruning_root(n, q)
 
         def expand(canon, x):
             child = canon.child(x)
-            return child, filter(child.allows, range(x + 1, size))
+            return child, child.children
     else:
         root = None
 
         def expand(canon, x):
-            return None, iter(range(x + 1, size))
+            return None, range(x + 1, size)
 
-    def last_level(x: int, children) -> Optional[tuple[list[int], list[int]]]:
+    def last_level(x: int, zs) -> Optional[tuple[list[int], list[int]]]:
         """Test the sets S + [x, z] for the children z of x, pushing x only to confirm a zero."""
-        zs = list(children)
-        for i, (z, pivot) in enumerate(zip(zs, gram.pivots_after(x, zs))):
-            count()
-            if pivot:
-                continue
-            gram.push(x)
-            if not gram.test(z):
+        nonlocal tests
+        pivots = gram.pivots_after(x, zs)
+        # the tests up to and including the first zero, counted in one step
+        zero = pivots.index(0) if 0 in pivots else len(pivots)
+        step = min(zero + 1, len(pivots))
+        if limit is not None and tests + step > limit:
+            tests = limit
+            raise _BudgetExceeded
+        tests += step
+        if zero == len(pivots):
+            return None
+        z = zs[zero]
+        gram.push(x)
+        if not gram.test(z):
+            return gram.vertices + [z], gram.kernel(z)
+        # a false alarm: the rest of the children on the pushed path
+        for z in zs[zero + 1:]:
+            if not test_counted(z):
                 return gram.vertices + [z], gram.kernel(z)
-            # a false alarm: the rest of the children on the pushed path
-            for z in zs[i + 1:]:
-                if not test_counted(z):
-                    return gram.vertices + [z], gram.kernel(z)
-            gram.pop()
-            break
+        gram.pop()
         return None
 
     def descend() -> Optional[tuple[list[int], list[int]]]:
         """Depth-first below the pinned zero word, one (node, candidates) frame per depth."""
-        stack = [(root, filter(root.allows, range(1, size)) if root else iter(range(1, size)))]
+        stack = [(root, iter(root.children if root else range(1, size)))]
         while stack:
             canon, candidates = stack[-1]
             depth = len(gram.vertices)
@@ -639,7 +706,7 @@ def exists_with_support_at_most(
                         return hit
                     continue
                 gram.push(x)
-                stack.append((child, grandchildren))
+                stack.append((child, iter(grandchildren)))
                 break
             else:
                 stack.pop()

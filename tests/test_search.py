@@ -249,31 +249,49 @@ class TestWitnessSoundness:
         assert in_direct_sum(w, 4, 12)
 
 
+def walk_against_oracle(n, q, depth):
+    """Each node's children down to `depth` elements, against the brute-force oracle."""
+    index_maps = [g for g, _ in search._pruning_maps(n, q)]
+    size = q**n
+    checked = 0
+
+    def walk(canon):
+        # the deepest nodes are never expanded, as at the last level
+        nonlocal checked
+        prefix = canon.prefix
+        ahead = range(prefix[-1] + 1, size)
+        minimal = [x for x in ahead if is_orbit_minimal(prefix + [x], index_maps)]
+        assert canon.children == minimal, prefix
+        checked += len(ahead)
+        if len(prefix) + 1 < depth:
+            for x in minimal:
+                walk(canon.child(x))
+
+    # twice: the cached root hands out the same children on the second walk
+    for _ in range(2):
+        walk(search._pruning_root(n, q))
+    assert checked > 2 * size
+
+
 class TestCanonicity:
     @pytest.mark.parametrize(
-        "n, q, depth", [(2, 3, 6), (3, 3, 5), (2, 4, 5), (2, 5, 4), (3, 4, 5)]
+        "n, q, depth", [(2, 3, 6), (3, 3, 5), (2, 4, 5), (2, 5, 4), (3, 4, 5), (4, 2, 7)]
     )
     def test_agrees_with_brute_force_oracle(self, n, q, depth):
-        """Every child of the minimal-prefix tree, down to `depth` elements."""
-        maps = search._pruning_maps(n, q)
-        index_maps = [g for g, _ in maps]
-        size = q**n
-        checked = 0
+        walk_against_oracle(n, q, depth)
 
-        def walk(canon):
-            nonlocal checked
-            prefix = canon.prefix
-            for x in range(prefix[-1] + 1, size):
-                minimal = is_orbit_minimal(prefix + [x], index_maps)
-                assert canon.allows(x) == minimal, (prefix, x)
-                checked += 1
-                if minimal and len(prefix) + 1 < depth:
-                    walk(canon.child(x))
-
-        # twice: the cached root hands out the same children on the second walk
-        for _ in range(2):
-            walk(search._pruning_root(n, q))
-        assert checked > 2 * size
+    def test_capped_table_agrees_with_brute_force_oracle(self, monkeypatch):
+        # a capped table is a subset of the group, not a group: (4, 2) has 23
+        # maps besides the identity, and a cap of 9 keeps the first 9
+        monkeypatch.setattr(search, "MAX_STABILIZER", 9)
+        search._pruning_maps.cache_clear()
+        search._pruning_root.cache_clear()
+        try:
+            assert len(search._pruning_maps(4, 2)) == 9
+            walk_against_oracle(4, 2, 7)
+        finally:
+            search._pruning_maps.cache_clear()
+            search._pruning_root.cache_clear()
 
     @pytest.mark.parametrize("n, q", [(2, 3), (3, 3), (2, 5), (3, 4), (4, 2), (7, 3)])
     def test_maps_are_automorphisms_fixing_zero(self, n, q):
@@ -363,6 +381,29 @@ class TestCachedPivots:
             elif len(path) > 1:
                 gram.pop()
         assert zeros, "no path reached a dependency"
+
+    @pytest.mark.parametrize("n, q, lo, hi, s", [(2, 3, 1, 1, 3), (3, 3, 2, 2, 5)])
+    def test_last_level_reads_the_new_prime_after_a_false_alarm(self, monkeypatch, n, q, lo, hi, s):
+        # at prime 2 a zero among a last level's children is often a false
+        # alarm, after which the path is factored again at a larger prime;
+        # the next parent on the same path must read residues mod that prime
+        pivots_after = search._GramPath.pivots_after
+        calls = []
+
+        def checked(gram, x, zs):
+            direct = pivots_after(gram, x, zs)
+            fresh = search._GramPath(n, q, gram.kappa, gram.prime)
+            for v in gram.vertices + [x]:
+                fresh.push(v)
+            assert direct == [fresh.pivots[-1][z] for z in zs], (gram.vertices, x)
+            calls.append((gram.vertices[:], gram.prime))
+            return direct
+
+        monkeypatch.setattr(search, "RANK_PRIME", 2)
+        monkeypatch.setattr(search._GramPath, "pivots_after", checked)
+        assert exists_with_support_at_most(n, q, lo, hi, s).status is SearchStatus.EXHAUSTED
+        reprimed = [b for a, b in zip(calls, calls[1:]) if a[0] == b[0] and a[1] != b[1]]
+        assert reprimed, "no parent followed a false alarm on the same path"
 
 
 class TestExactCheck:
