@@ -124,6 +124,57 @@ when it is made, so one root per (n, q) serves every search on it
 (`_pruning_root`); no other node is kept.  With pruning off, or no map in
 the table, no node is built: the candidates are plain ranges.
 
+Slice deficits prune with the orbits.  Let f be a nonzero member of
+U_[lo,hi](n,q), fix a coordinate, and let f_a be the slice with that
+coordinate equal to a, a function on n - 1 coordinates.  With that
+coordinate split off, the eigenspace E_t(n) is the sum of
+constants (x) E_t(n-1) and (constants)^perp (x) E_{t-1}(n-1).  Reading
+symbol a sends the first part into E_t(n-1) and the second into
+E_{t-1}(n-1), so f_a lies in U_[lo-1,hi]; reading a minus reading b
+vanishes on constants, so f_a - f_b lies in U_[lo-1,hi-1] (windows clipped
+to [0, n-1]; these are the descent rules of `reduction`).  If exactly one
+slice f_b is nonzero, f = e_b (x) f_b, and e_b has a nonzero part in both
+summands of the one-coordinate space; so each nonzero part of f_b in
+E_t(n-1) puts nonzero parts of f in E_t(n) and E_{t+1}(n), both t and
+t + 1 lie in [lo, hi], and f_b lies in U_[lo,hi-1].  Let m3, m1 and m0 be
+lower bounds on the least support of those three spaces.  For each
+coordinate one case holds:
+
+    (A) every slice is nonzero, and each has at least m3 points;
+    (B) some slice is zero, so every nonzero slice, being its difference
+        with that one, has at least m1 points; either exactly one slice is
+        nonzero (at least m0 points), or at least two are, which needs
+        q >= 3 since a zero slice is left over.
+
+`slice_lower(n, q, lo, hi)` is the recursion min(q m3, m0, 2 m1 if
+q >= 3), with m3, m1 and m0 its own values at n - 1, inf on an empty
+window and 1 at n = 0.  It reads nothing the search found and never the
+paper's formula, so it is a bound the search derives on its own.
+
+For a path S and a coordinate, let c_a count the vertices of S in slice
+a.  A support C that contains S has at least c_a points in slice a, so
+it adds at least sum of max(0, m3 - c_a) points in case (A).  Case (B)
+needs some c_a = 0: with two or more occupied slices it adds at least
+sum over them of max(0, m1 - c_a); with one occupied slice of c points,
+at least min(max(0, m0 - c), max(0, m1 - c) + m1), the second only at
+q >= 3.  When the lesser of the two cases exceeds s - |S| at some
+coordinate, no support of size <= s contains S, and S is dropped before
+its rank test: the zero word, the root's children, the children of every
+pushed vertex, and the last level's children before `pivots_after`.  If
+some nonzero member has support <= s, some circuit (a minimal dependent
+set, so the support of a member) of size <= s holds the zero word.  The
+least such circuit in DFS order meets every bound, its proper prefixes
+are independent, and every image of it under the maps is such a circuit
+too, so it is orbit-minimal: it and its prefixes survive both prunings,
+and an exhaustion still proves that nothing of support <= s exists.  At
+s = the minimum every dependent set the plain DFS meets is such a
+circuit, so its first one is the least, the pruned DFS meets it first
+too, and the witness is the same.  A pushed vertex builds the allowed
+symbols of each coordinate from the counts, O(q^2) per coordinate and
+cached by the counts; a child's symbol is read by index arithmetic, on
+the coordinates that rule a symbol out only.  `symmetry_pruning=False`
+turns both prunings off: the plain DFS is the reference.
+
 The depth-first search keeps an explicit stack of (node, remaining
 children) frames, so the depth of a path is not bounded by Python's
 recursion limit.  Budgets count rank tests, not wall time, so runs are
@@ -137,8 +188,8 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, filterfalse, permutations, product, repeat
-from math import gcd, isqrt
-from operator import itemgetter, le, mod, mul, sub
+from math import gcd, inf, isqrt
+from operator import floordiv, itemgetter, le, mod, mul, sub
 from typing import Optional
 
 from .core import MAX_VERTICES, GridFunction, exceeds_vertex_cap, validate_alphabet
@@ -426,6 +477,102 @@ def _pruning_root(n: int, q: int) -> _Canon:
     return _Canon([], list(_pruning_maps(n, q)), [], q**n, None).child(0)
 
 
+def _slice_minima(n: int, q: int, lo: int, hi: int) -> tuple:
+    """(m3, m1, m0): `slice_lower` of U_[lo-1,hi], U_[lo-1,hi-1] and U_[lo,hi-1] at n - 1."""
+    return (slice_lower(n - 1, q, lo - 1, hi), slice_lower(n - 1, q, lo - 1, hi - 1),
+            slice_lower(n - 1, q, lo, hi - 1))
+
+
+@lru_cache(maxsize=None)
+def slice_lower(n: int, q: int, lo: int, hi: int) -> float:
+    """A lower bound on the support of every nonzero f in U_[lo,hi](n,q), by the descent rules.
+
+    The window is clipped to [0, n]; an empty one holds only zero, and
+    gives inf.  At n = 0 the bound is 1.  Otherwise the slices of f at one
+    coordinate are all nonzero (q m3 points), or exactly one is (m0), or at
+    least two are and one is zero, which needs q >= 3 (2 m1); see the
+    module docstring.  The value never reads the paper's formula.  The
+    recursion is two frames per coordinate deep, so n stays below a few
+    hundred; the search calls it at n <= 16.
+    """
+    lo, hi = max(lo, 0), min(hi, n)
+    if lo > hi:
+        return inf
+    if n == 0:
+        return 1
+    m3, m1, m0 = _slice_minima(n, q, lo, hi)
+    return min(q * m3, m0, 2 * m1 if q >= 3 else inf)
+
+
+def _deficit(counts: list[int], m3: float, m1: float, m0: float) -> float:
+    """The fewest points a support with these slice counts at one coordinate still lacks."""
+    q = len(counts)
+    every = sum(m3 - c for c in counts if c < m3)  # (A) every slice nonzero
+    occupied = [c for c in counts if c]
+    if len(occupied) == q:
+        return every  # (B) needs a zero slice
+    if len(occupied) > 1:
+        return min(every, sum(m1 - c for c in occupied if c < m1))
+    c = occupied[0]
+    one = max(0, m0 - c)  # the only nonzero slice
+    if q >= 3:  # or a second nonzero slice outside the path
+        one = min(one, max(0, m1 - c) + m1)
+    return min(every, one)
+
+
+@lru_cache(maxsize=4096)
+def _allowed_symbols(counts: tuple[int, ...], slack: int, bounds: tuple) -> Optional[tuple]:
+    """Whether each symbol keeps the deficit of counts plus one point <= slack; None if all do."""
+    allowed = []
+    for a in range(len(counts)):
+        grown = list(counts)
+        grown[a] += 1
+        allowed.append(_deficit(grown, *bounds) <= slack)
+    return None if all(allowed) else tuple(allowed)
+
+
+class _SliceCounts:
+    """The slice counts of the DFS path at every coordinate, and the children they allow.
+
+    counts[r][a] is the number of path vertices whose coordinate r holds
+    symbol a; `push` and `pop` keep it in step with the path.  `allowed`
+    keeps the children x for which no coordinate's deficit of path + [x]
+    exceeds s - |path + [x]|, reading each child's symbol by index
+    arithmetic on the coordinates where some symbol is ruled out only.
+    """
+
+    __slots__ = ("q", "s", "bounds", "weights", "counts", "path")
+
+    def __init__(self, n: int, q: int, lo: int, hi: int, s: int):
+        self.q, self.s = q, s
+        self.bounds = _slice_minima(n, q, lo, hi)
+        self.weights = [q ** (n - 1 - r) for r in range(n)]  # coordinate 0 most significant
+        self.counts = [[0] * q for _ in range(n)]
+        self.path: list[int] = []
+
+    def _add(self, x: int, step: int) -> None:
+        q = self.q
+        for counts, w in zip(self.counts, self.weights):
+            counts[x // w % q] += step
+
+    def push(self, x: int) -> None:
+        self._add(x, 1)
+        self.path.append(x)
+
+    def pop(self) -> None:
+        self._add(self.path.pop(), -1)
+
+    def allowed(self, children):
+        """The children of the path that pass the deficit test, in order."""
+        q, slack, bounds = self.q, self.s - len(self.path) - 1, self.bounds
+        for counts, w in zip(self.counts, self.weights):
+            symbols = _allowed_symbols(tuple(counts), slack, bounds)
+            if symbols is not None:
+                digits = map(mod, map(floordiv, children, repeat(w)), repeat(q))
+                children = list(compress(children, map(symbols.__getitem__, digits)))
+        return children
+
+
 class _BudgetExceeded(Exception):
     pass
 
@@ -633,7 +780,10 @@ def exists_with_support_at_most(
     """Decide whether some nonzero f in U_[lo,hi](n,q) has support <= s."""
     spectra.validate_range(n, lo, hi)
     size = _check_scale(n, q)
-    if s <= 0:
+    # slice deficits prune with the orbits; the plain DFS is the reference
+    slices = _SliceCounts(n, q, lo, hi, s) if budget.symmetry_pruning else None
+    # the all-zero word is pinned into every candidate set
+    if s <= 0 or slices and not slices.allowed([0]):
         return SearchOutcome(SearchStatus.EXHAUSTED, None, None, 0)
 
     gram = _GramPath(n, q, _complement_kernel(n, q, lo, hi), RANK_PRIME)
@@ -667,6 +817,12 @@ def exists_with_support_at_most(
     def last_level(x: int, zs) -> Optional[tuple[list[int], list[int]]]:
         """Test the sets S + [x, z] for the children z of x, pushing x only to confirm a zero."""
         nonlocal tests
+        if slices:
+            slices.push(x)
+            zs = slices.allowed(zs)
+            slices.pop()
+            if not zs:
+                return None
         pivots = gram.pivots_after(x, zs)
         # the tests up to and including the first zero, counted in one step
         zero = pivots.index(0) if 0 in pivots else len(pivots)
@@ -690,7 +846,8 @@ def exists_with_support_at_most(
 
     def descend() -> Optional[tuple[list[int], list[int]]]:
         """Depth-first below the pinned zero word, one (node, candidates) frame per depth."""
-        stack = [(root, iter(root.children if root else range(1, size)))]
+        children = root.children if root else range(1, size)
+        stack = [(root, iter(slices.allowed(children) if slices else children))]
         while stack:
             canon, candidates = stack[-1]
             depth = len(gram.vertices)
@@ -706,19 +863,25 @@ def exists_with_support_at_most(
                         return hit
                     continue
                 gram.push(x)
+                if slices:
+                    slices.push(x)
+                    grandchildren = slices.allowed(grandchildren)
                 stack.append((child, iter(grandchildren)))
                 break
             else:
                 stack.pop()
                 gram.pop()
+                if slices:
+                    slices.pop()
         return None
 
     try:
-        # the all-zero word is pinned into every candidate set
         if not test_counted(0):
             hit: Optional[tuple[list[int], list[int]]] = ([0], gram.kernel(0))
         elif s > 1:
             gram.push(0)
+            if slices:
+                slices.push(0)
             hit = descend()
         else:
             hit = None

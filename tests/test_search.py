@@ -2,7 +2,8 @@ import os
 import random
 import subprocess
 import sys
-from itertools import chain, combinations
+from itertools import chain, combinations, product
+from math import inf
 from operator import mul
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hammingsupport import (
     SearchBudget,
     build_F1,
     build_F2,
+    min_support_bound,
     SearchStatus,
     exists_with_support_at_most,
     find_minimum,
@@ -46,10 +48,12 @@ def brute_force_exists(n, q, lo, hi, s):
     return False
 
 
+# slice deficits prune the last four below the root
 PRUNING_CASES = [
     (2, 3, 1, 1, 3), (2, 3, 1, 1, 4), (2, 3, 0, 1, 2), (2, 3, 0, 1, 3),
     (1, 5, 1, 1, 1), (1, 5, 1, 1, 2), (2, 4, 1, 2, 2), (3, 2, 1, 2, 2),
-    (3, 3, 2, 2, 5),
+    (3, 3, 2, 2, 5), (2, 5, 1, 1, 7), (2, 5, 1, 1, 8), (3, 3, 1, 2, 3),
+    (4, 2, 1, 2, 4),
 ]
 
 
@@ -166,13 +170,14 @@ class TestExists:
         assert nums[0] > 0
 
     def test_reference_counts(self):
-        # the reference points quoted in the README
+        # the reference points quoted in the README; the slice deficits rule
+        # out the zero word itself, before its rank test
         pruned = exists_with_support_at_most(3, 3, 2, 2, 5)
         plain = exists_with_support_at_most(
             3, 3, 2, 2, 5, SearchBudget(symmetry_pruning=False)
         )
         assert pruned.status is plain.status is SearchStatus.EXHAUSTED
-        assert (pruned.subsets_examined, plain.subsets_examined) == (504, 17902)
+        assert (pruned.subsets_examined, plain.subsets_examined) == (0, 17902)
 
     def test_scale_guard(self):
         with pytest.raises(ScaleError):
@@ -247,6 +252,115 @@ class TestWitnessSoundness:
         w = outcome.witness
         assert w.support_size() == 16
         assert in_direct_sum(w, 4, 12)
+
+
+class TestSliceDeficits:
+    """The closed-form bound of the descent rules, and the pruning it drives."""
+
+    @pytest.mark.parametrize(
+        "n, q, lo, hi, value",
+        [(0, 3, 0, 0, 1), (1, 3, 2, 2, inf), (1, 3, 0, 1, 1), (1, 3, 0, 0, 3), (2, 3, 1, 1, 3),
+         (2, 2, 1, 1, 2), (3, 3, 2, 2, 6), (3, 3, 0, 1, 9), (3, 4, 2, 2, 8), (8, 2, 1, 1, 128)],
+    )
+    def test_values(self, n, q, lo, hi, value):
+        assert search.slice_lower(n, q, lo, hi) == value
+
+    @pytest.mark.parametrize("n, q", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2)])
+    def test_no_support_below_it(self, n, q):
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                bound = search.slice_lower(n, q, lo, hi)
+                assert not brute_force_exists(n, q, lo, hi, bound - 1), (lo, hi)
+
+    def test_never_above_the_formula(self):
+        # where the formula is proven it is the least support, so the bound
+        # may not exceed it; how often it meets it pins the bound's strength
+        proven = met = 0
+        for q in range(2, 8):
+            for n in range(1, 9):
+                for lo in range(n + 1):
+                    for hi in range(lo, n + 1):
+                        formula = min_support_bound(n, q, lo, hi)
+                        if formula.valid:
+                            bound = search.slice_lower(n, q, lo, hi)
+                            assert bound <= formula.value, (n, q, lo, hi)
+                            proven += 1
+                            met += bound == formula.value
+        assert (proven, met) == (750, 364)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_deficit_against_every_choice_of_nonzero_slices(self, q):
+        # the fewest points to add, over every set N of nonzero slices that
+        # holds the occupied ones: all slices (case A), one slice (m0), or
+        # at least two with a zero slice left over (m1 each); the rule is
+        # sound for any lower bounds, so they range freely here
+        def oracle(counts, m3, m1, m0):
+            occupied = {a for a, c in enumerate(counts) if c}
+            best = inf
+            for k in range(1, q + 1):
+                for nonzero in combinations(range(q), k):
+                    if not occupied <= set(nonzero):
+                        continue
+                    need = m3 if k == q else m0 if k == 1 else m1
+                    best = min(best, sum(max(0, need - counts[a]) for a in nonzero))
+            return best
+
+        values = (1, 2, 3, 5, inf)
+        for counts in product(range(3), repeat=q):
+            if any(counts):
+                for m3, m1, m0 in product(values, repeat=3):
+                    bounds = (m3, m1, m0)
+                    assert search._deficit(list(counts), *bounds) == oracle(counts, *bounds), (
+                        counts, bounds)
+
+    @pytest.mark.parametrize(
+        "n, q, lo, hi, minimum, tests",
+        [(3, 3, 0, 1, 9, 9), (2, 5, 1, 1, 8, 212), (3, 3, 2, 2, 6, 200), (2, 3, 1, 1, 4, 11),
+         (2, 4, 1, 1, 6, 44), (3, 4, 1, 2, 6, 104), (5, 2, 1, 2, 8, 19), (6, 2, 2, 4, 4, 23),
+         (6, 2, 1, 2, 16, 95)],
+    )
+    def test_reference_counts(self, n, q, lo, hi, minimum, tests):
+        report = find_minimum(n, q, lo, hi)
+        assert (report.minimum, report.subsets_examined) == (minimum, tests)
+
+    @pytest.mark.parametrize(
+        "n, q, compared", [(1, 4, 3), (2, 2, 6), (2, 3, 6), (2, 4, 5), (3, 2, 10), (4, 2, 13)]
+    )
+    def test_witnesses_match_the_plain_search(self, n, q, compared):
+        # the first dependent set of the plain DFS is the least minimum
+        # support in DFS order, which meets every deficit bound; the plain
+        # search is capped, and the windows it settles are counted
+        settled = 0
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                pruned = find_minimum(n, q, lo, hi)
+                plain = find_minimum(
+                    n, q, lo, hi, SearchBudget(max_subsets=20000, symmetry_pruning=False)
+                )
+                assert pruned.conclusive and pruned.lower >= plain.lower
+                if plain.conclusive:
+                    assert (pruned.minimum, pruned.witness) == (plain.minimum, plain.witness)
+                    settled += 1
+        assert settled == compared
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_a_raised_bound_changes_a_decision(self, monkeypatch, which):
+        # one more than m3, m1 or m0 is unsound, and some minimum is missed
+        cases = [(2, 2, 0, 1, 2), (2, 3, 1, 2, 2), (2, 3, 0, 1, 3), (2, 3, 1, 1, 4),
+                 (3, 3, 2, 2, 6)]
+        plain = SearchBudget(symmetry_pruning=False)
+        truth = [exists_with_support_at_most(*case, plain).status for case in cases]
+        assert set(truth) == {SearchStatus.FOUND}
+        made = search._SliceCounts.__init__
+
+        def raised(counts, *args):
+            made(counts, *args)
+            counts.bounds = tuple(m + (i == which) for i, m in enumerate(counts.bounds))
+
+        monkeypatch.setattr(search._SliceCounts, "__init__", raised)
+        missed = [case for case in cases
+                  if exists_with_support_at_most(*case).status is SearchStatus.EXHAUSTED]
+        assert missed
 
 
 def walk_against_oracle(n, q, depth):
@@ -382,8 +496,13 @@ class TestCachedPivots:
                 gram.pop()
         assert zeros, "no path reached a dependency"
 
-    @pytest.mark.parametrize("n, q, lo, hi, s", [(2, 3, 1, 1, 3), (3, 3, 2, 2, 5)])
-    def test_last_level_reads_the_new_prime_after_a_false_alarm(self, monkeypatch, n, q, lo, hi, s):
+    @pytest.mark.parametrize(
+        "n, q, lo, hi, s, status",
+        [(3, 3, 1, 2, 3, SearchStatus.EXHAUSTED), (2, 5, 1, 1, 8, SearchStatus.FOUND)],
+    )
+    def test_last_level_reads_the_new_prime_after_a_false_alarm(
+        self, monkeypatch, n, q, lo, hi, s, status
+    ):
         # at prime 2 a zero among a last level's children is often a false
         # alarm, after which the path is factored again at a larger prime;
         # the next parent on the same path must read residues mod that prime
@@ -401,7 +520,7 @@ class TestCachedPivots:
 
         monkeypatch.setattr(search, "RANK_PRIME", 2)
         monkeypatch.setattr(search._GramPath, "pivots_after", checked)
-        assert exists_with_support_at_most(n, q, lo, hi, s).status is SearchStatus.EXHAUSTED
+        assert exists_with_support_at_most(n, q, lo, hi, s).status is status
         reprimed = [b for a, b in zip(calls, calls[1:]) if a[0] == b[0] and a[1] != b[1]]
         assert reprimed, "no parent followed a false alarm on the same path"
 
@@ -449,12 +568,13 @@ class TestModularRankTests:
 
     CASES = [(*case, prune, None) for case in PRUNING_CASES for prune in (True, False)]
     CASES.append((3, 3, 2, 2, 6, True, None))
-    # budgets that run out among the children of a last-level vertex x that
-    # was pushed after a false alarm: under prime 2 for the first two,
-    # under prime 3 for the last two
+    # budgets that run out at a last level after a false alarm: in the
+    # counted step of its first zero (the first, second and last case) or
+    # among the children tested one by one on the pushed path (the third);
+    # under prime 2 for the first two, under prime 3 for the last two
     CASES += [
-        (3, 3, 2, 2, 5, True, 10), (2, 5, 1, 1, 3, False, 117),
-        (2, 5, 1, 1, 3, False, 10), (4, 2, 0, 1, 4, True, 22),
+        (3, 3, 2, 2, 6, True, 33), (2, 5, 1, 1, 3, False, 117),
+        (2, 5, 1, 1, 3, False, 10), (2, 5, 1, 1, 8, True, 9),
     ]
 
     @staticmethod
