@@ -106,7 +106,7 @@ child with g(x) > P[r] a larger one, and the single tie child
 x = g^-1(P[r]) is decided by comparing sorted g(P + [x]) with P + [x]
 directly.  The union of these sets over all maps is exactly the set of
 children that are not orbit-minimal.  The node's pass removes them from
-the vertices after P[-1], and the DFS walks the list that is left.
+the candidates it is given, and the DFS walks the list that is left.
 
 Most of that work is inherited down the tree.  For sorted sets of equal
 size, A < B exactly when the least element of their symmetric difference
@@ -117,12 +117,16 @@ leaves r, and so the tie child, as they were.  So each node only revisits
 the maps that fix its prefix and the maps whose tie child it took; a map
 whose tie child falls behind the prefix needs no further work.
 
-What a node passes down (its tie buckets and merged thresholds) is built
-only when the DFS takes one of its children, and at most once, so a
-parent of the last level never builds it.  A node's children are fixed
-when it is made, so one root per (n, q) serves every search on it
-(`_pruning_root`); no other node is kept.  With pruning off, or no map in
-the table, no node is built: the candidates are plain ranges.
+Nothing a node keeps but its children depends on its candidates, so
+canonicity runs last.  The children of a vertex x are the vertices after
+x, then those the slice deficits (below) allow, then the orbit-minimal
+ones among those; a node is made only when the filter leaves something,
+and a vertex with no children is never pushed.  The root [0] is made once
+per (n, q) for every vertex, and serves every search on it
+(`_pruning_root`); each search filters its children.  No other node is
+kept.  With no map in the table no node is built, and the children are
+the ones the slice deficits allow; with pruning off they are plain
+ranges.
 
 Slice deficits prune with the orbits.  Let f be a nonzero member of
 U_[lo,hi](n,q), fix a coordinate, and let f_a be the slice with that
@@ -159,8 +163,8 @@ sum over them of max(0, m1 - c_a); with one occupied slice of c points,
 at least min(max(0, m0 - c), max(0, m1 - c) + m1), the second only at
 q >= 3.  When the lesser of the two cases exceeds s - |S| at some
 coordinate, no support of size <= s contains S, and S is dropped before
-its rank test: the zero word, the root's children, the children of every
-pushed vertex, and the last level's children before `pivots_after`.  If
+its rank test: the zero word, the root's children, and the children of
+every other vertex, before canonicity looks at them.  If
 some nonzero member has support <= s, some circuit (a minimal dependent
 set, so the support of a member) of size <= s holds the zero word.  The
 least such circuit in DFS order meets every bound, its proper prefixes
@@ -169,11 +173,13 @@ too, so it is orbit-minimal: it and its prefixes survive both prunings,
 and an exhaustion still proves that nothing of support <= s exists.  At
 s = the minimum every dependent set the plain DFS meets is such a
 circuit, so its first one is the least, the pruned DFS meets it first
-too, and the witness is the same.  A pushed vertex builds the allowed
-symbols of each coordinate from the counts, O(q^2) per coordinate and
-cached by the counts; a child's symbol is read by index arithmetic, on
-the coordinates that rule a symbol out only.  `symmetry_pruning=False`
-turns both prunings off: the plain DFS is the reference.
+too, and the witness is the same.  The counts are read off the path each
+time a vertex's children are listed, O(n |S|) with |S| < s, so no state
+follows the path.  They give the allowed symbols of each coordinate,
+O(q^2) per coordinate and cached by the counts, and a child's symbol is
+read by index arithmetic, on the coordinates that rule a symbol out only.
+`symmetry_pruning=False` turns both prunings off: the plain DFS is the
+reference.
 
 The depth-first search keeps an explicit stack of (node, remaining
 children) frames, so the depth of a path is not bounded by Python's
@@ -368,55 +374,35 @@ def _pruning_maps(n: int, q: int) -> tuple[tuple[array, array], ...]:
 class _Canon:
     """The orbit-minimal children of one DFS node; see the module docstring.
 
-    `children` lists, in increasing order, the x > prefix[-1] for which
-    prefix + [x] is orbit-minimal; `child` finds them in one pass when it
-    makes the node.  `fixers` holds the maps (g, ginv) that fix the prefix
-    setwise.  Every other map g has a first position r where sorted
-    g(prefix) exceeds the prefix; while its tie child t = ginv[prefix[r]]
-    lies ahead, it is kept as (g, ginv, r) in `ties[t]`, and r and t stay
-    put until the DFS takes t.  `thresholds` is the union of
-    {y : g(y) < prefix[r]} over every such map, here or at an ancestor.
+    `children` lists, in their given order, the candidates x passed to
+    `child` for which prefix + [x] is orbit-minimal; `child` finds them in
+    one pass when it makes the node.  `fixers` holds the maps (g, ginv) that
+    fix the prefix setwise.  Every other map g has a first position r where
+    sorted g(prefix) exceeds the prefix; while its tie child
+    t = ginv[prefix[r]] lies ahead, it is kept as (g, ginv, r) in `ties[t]`,
+    and r and t stay put until the DFS takes t.  `thresholds` is the union
+    of {y : g(y) < prefix[r]} over every such map, here or at an ancestor.
     Each of those vertices stays a non-minimal child all the way down, so
     the set and the tie buckets are shared with descendants and never
-    mutated.
-
-    `ties` and `thresholds` serve only the passes of this node's own
-    children.  So a node keeps its parent's two and the thresholds and tie
-    buckets its own step adds, and merges them when `child` is first called
-    on it.  The DFS never calls `child` on a parent of the last level, so
-    those nodes never pay for the merge.
+    mutated.  None of this depends on the candidates, so the children of a
+    node are the orbit-minimal ones among whatever candidates it is given.
     """
 
-    __slots__ = ("prefix", "fixers", "children", "size", "ties", "thresholds", "_pending")
+    __slots__ = ("prefix", "fixers", "children", "ties", "thresholds")
 
-    def __init__(self, prefix: list[int], fixers: list, children: list[int], size: int,
-                 pending: Optional[tuple]):
+    def __init__(self, prefix: list[int], fixers: list, children: list[int], ties: dict,
+                 thresholds: frozenset):
         self.prefix = prefix
         self.fixers = fixers
         self.children = children
-        self.size = size
-        # (parent's ties, parent's thresholds, new thresholds, new tie buckets)
-        # until `_merge` turns them into `ties` and `thresholds`; the empty
-        # prefix, where every map is a fixer, has none
-        self._pending: Optional[tuple] = pending
-        self.ties: dict = {}
-        self.thresholds: frozenset = frozenset()
+        self.ties = ties
+        self.thresholds = thresholds
 
-    def _merge(self) -> None:
-        """Merge the parent's ties and thresholds with those this node's step adds."""
-        ties, thresholds, raised, new_ties = self._pending
-        x = self.prefix[-1]
-        ties = {t: bucket for t, bucket in ties.items() if t > x}
-        for tie, bucket in new_ties.items():
-            ties[tie] = ties[tie] + bucket if tie in ties else bucket
-        if raised:
-            thresholds = thresholds.union(raised)
-        self.ties, self.thresholds, self._pending = ties, thresholds, None
+    def child(self, x: int, candidates) -> "_Canon":
+        """The node prefix + [x], for a child x, and its orbit-minimal children among `candidates`.
 
-    def child(self, x: int) -> "_Canon":
-        """The node prefix + [x] and its orbit-minimal children, for a child x of this node."""
-        if self._pending is not None:
-            self._merge()
+        `candidates` are vertices after x in increasing order.
+        """
         prefix = self.prefix + [x]
         fixers = []
         moved = []  # maps whose r or tie child changes at this step
@@ -426,8 +412,7 @@ class _Canon:
                 fixers.append(pair)
             else:  # g(x) > x, since x is a child
                 moved.append((g, ginv, len(prefix) - 1))
-        ties = self.ties
-        taken = ties.get(x)  # the maps whose tie child is x
+        taken = self.ties.get(x)  # the maps whose tie child is x
         if taken:
             members = itemgetter(*prefix)  # prefix holds 0 and x, so members(g) is a tuple
             for g, ginv, r in taken:
@@ -446,19 +431,19 @@ class _Canon:
             tie = ginv[prefix[r]]
             if tie > x:
                 new_ties.setdefault(tie, []).append(entry)
+        ties = {t: bucket for t, bucket in self.ties.items() if t > x}
+        for tie, bucket in new_ties.items():
+            ties[tie] = ties[tie] + bucket if tie in ties else bucket
+        thresholds = self.thresholds.union(raised) if raised else self.thresholds
 
-        # the pass: thresholds here and above, then descents of the fixers,
-        # then the tie buckets
-        thresholds = self.thresholds
-        children = list(filterfalse(raised.__contains__, filterfalse(
-            thresholds.__contains__, range(x + 1, self.size))))
+        # the pass: thresholds, then descents of the fixers, then the tie buckets
+        children = list(filterfalse(thresholds.__contains__, candidates))
         for g, _ in fixers:
             children = list(compress(children, map(le, children, map(g.__getitem__, children))))
-        for buckets in (ties, new_ties):
-            for t, bucket in buckets.items():
-                if t in children and _tie_smaller(prefix, bucket, t):
-                    children.remove(t)
-        return _Canon(prefix, fixers, children, self.size, (ties, thresholds, raised, new_ties))
+        for t, bucket in ties.items():
+            if t in children and _tie_smaller(prefix, bucket, t):
+                children.remove(t)
+        return _Canon(prefix, fixers, children, ties, thresholds)
 
 
 def _tie_smaller(prefix: list[int], bucket: list, z: int) -> bool:
@@ -474,7 +459,7 @@ def _tie_smaller(prefix: list[int], bucket: list, z: int) -> bool:
 @lru_cache(maxsize=8)
 def _pruning_root(n: int, q: int) -> _Canon:
     """The node [0]: every map fixes the zero word."""
-    return _Canon([], list(_pruning_maps(n, q)), [], q**n, None).child(0)
+    return _Canon([], list(_pruning_maps(n, q)), [], {}, frozenset()).child(0, range(1, q**n))
 
 
 def _slice_minima(n: int, q: int, lo: int, hi: int) -> tuple:
@@ -492,9 +477,13 @@ def slice_lower(n: int, q: int, lo: int, hi: int) -> float:
     coordinate are all nonzero (q m3 points), or exactly one is (m0), or at
     least two are and one is zero, which needs q >= 3 (2 m1); see the
     module docstring.  The value never reads the paper's formula.  The
-    recursion is two frames per coordinate deep, so n stays below a few
-    hundred; the search calls it at n <= 16.
+    recursion is two frames per coordinate deep, so n is capped at 16, the
+    most coordinates a search within MAX_VERTICES = 2^16 vertices has (q >= 2);
+    a larger n raises ValueError.
     """
+    most = MAX_VERTICES.bit_length() - 1
+    if n > most:
+        raise ValueError(f"slice_lower takes n <= {most}, got n = {n}")
     lo, hi = max(lo, 0), min(hi, n)
     if lo > hi:
         return inf
@@ -531,46 +520,35 @@ def _allowed_symbols(counts: tuple[int, ...], slack: int, bounds: tuple) -> Opti
     return None if all(allowed) else tuple(allowed)
 
 
-class _SliceCounts:
-    """The slice counts of the DFS path at every coordinate, and the children they allow.
+class _SliceFilter:
+    """The candidates that slice deficits allow below a DFS path of a search for support <= s.
 
-    counts[r][a] is the number of path vertices whose coordinate r holds
-    symbol a; `push` and `pop` keep it in step with the path.  `allowed`
-    keeps the children x for which no coordinate's deficit of path + [x]
-    exceeds s - |path + [x]|, reading each child's symbol by index
-    arithmetic on the coordinates where some symbol is ruled out only.
+    `allowed(path, candidates)` keeps the x for which no coordinate's
+    deficit of path + [x] exceeds s - |path + [x]|.  It counts the path's
+    symbols at each coordinate afresh, O(n |path|) with |path| < s, and
+    reads each candidate's symbol by index arithmetic on the coordinates
+    where some symbol is ruled out only.
     """
 
-    __slots__ = ("q", "s", "bounds", "weights", "counts", "path")
+    __slots__ = ("q", "s", "bounds", "weights")
 
     def __init__(self, n: int, q: int, lo: int, hi: int, s: int):
         self.q, self.s = q, s
         self.bounds = _slice_minima(n, q, lo, hi)
         self.weights = [q ** (n - 1 - r) for r in range(n)]  # coordinate 0 most significant
-        self.counts = [[0] * q for _ in range(n)]
-        self.path: list[int] = []
 
-    def _add(self, x: int, step: int) -> None:
-        q = self.q
-        for counts, w in zip(self.counts, self.weights):
-            counts[x // w % q] += step
-
-    def push(self, x: int) -> None:
-        self._add(x, 1)
-        self.path.append(x)
-
-    def pop(self) -> None:
-        self._add(self.path.pop(), -1)
-
-    def allowed(self, children):
-        """The children of the path that pass the deficit test, in order."""
-        q, slack, bounds = self.q, self.s - len(self.path) - 1, self.bounds
-        for counts, w in zip(self.counts, self.weights):
+    def allowed(self, path: list[int], candidates):
+        """The candidates that pass the deficit test below `path`, in order."""
+        q, slack, bounds = self.q, self.s - len(path) - 1, self.bounds
+        for w in self.weights:
+            counts = [0] * q
+            for v in path:
+                counts[v // w % q] += 1
             symbols = _allowed_symbols(tuple(counts), slack, bounds)
             if symbols is not None:
-                digits = map(mod, map(floordiv, children, repeat(w)), repeat(q))
-                children = list(compress(children, map(symbols.__getitem__, digits)))
-        return children
+                digits = map(mod, map(floordiv, candidates, repeat(w)), repeat(q))
+                candidates = list(compress(candidates, map(symbols.__getitem__, digits)))
+        return candidates
 
 
 class _BudgetExceeded(Exception):
@@ -781,9 +759,9 @@ def exists_with_support_at_most(
     spectra.validate_range(n, lo, hi)
     size = _check_scale(n, q)
     # slice deficits prune with the orbits; the plain DFS is the reference
-    slices = _SliceCounts(n, q, lo, hi, s) if budget.symmetry_pruning else None
+    slices = _SliceFilter(n, q, lo, hi, s) if budget.symmetry_pruning else None
     # the all-zero word is pinned into every candidate set
-    if s <= 0 or slices and not slices.allowed([0]):
+    if s <= 0 or slices and not slices.allowed([], [0]):
         return SearchOutcome(SearchStatus.EXHAUSTED, None, None, 0)
 
     gram = _GramPath(n, q, _complement_kernel(n, q, lo, hi), RANK_PRIME)
@@ -801,28 +779,19 @@ def exists_with_support_at_most(
         count()
         return gram.test(x)
 
-    # the node of prefix + [x] and its orbit-minimal children, in order
-    if maps:
-        root: Optional[_Canon] = _pruning_root(n, q)
-
-        def expand(canon, x):
-            child = canon.child(x)
-            return child, child.children
-    else:
-        root = None
-
-        def expand(canon, x):
-            return None, range(x + 1, size)
+    def expand(canon: Optional[_Canon], x: int):
+        """The node of S + [x] and its children: the vertices after x, then slices, then orbits."""
+        children = range(x + 1, size)
+        if slices:
+            children = slices.allowed(gram.vertices + [x], children)
+        if canon and children:
+            canon = canon.child(x, children)
+            children = canon.children
+        return canon, children
 
     def last_level(x: int, zs) -> Optional[tuple[list[int], list[int]]]:
         """Test the sets S + [x, z] for the children z of x, pushing x only to confirm a zero."""
         nonlocal tests
-        if slices:
-            slices.push(x)
-            zs = slices.allowed(zs)
-            slices.pop()
-            if not zs:
-                return None
         pivots = gram.pivots_after(x, zs)
         # the tests up to and including the first zero, counted in one step
         zero = pivots.index(0) if 0 in pivots else len(pivots)
@@ -846,8 +815,9 @@ def exists_with_support_at_most(
 
     def descend() -> Optional[tuple[list[int], list[int]]]:
         """Depth-first below the pinned zero word, one (node, candidates) frame per depth."""
+        root = _pruning_root(n, q) if maps else None
         children = root.children if root else range(1, size)
-        stack = [(root, iter(slices.allowed(children) if slices else children))]
+        stack = [(root, iter(slices.allowed([0], children) if slices else children))]
         while stack:
             canon, candidates = stack[-1]
             depth = len(gram.vertices)
@@ -857,22 +827,19 @@ def exists_with_support_at_most(
                 if depth + 1 == s:
                     continue
                 child, grandchildren = expand(canon, x)
+                if not grandchildren:
+                    continue
                 if depth + 2 == s:
                     hit = last_level(x, grandchildren)
                     if hit:
                         return hit
                     continue
                 gram.push(x)
-                if slices:
-                    slices.push(x)
-                    grandchildren = slices.allowed(grandchildren)
                 stack.append((child, iter(grandchildren)))
                 break
             else:
                 stack.pop()
                 gram.pop()
-                if slices:
-                    slices.pop()
         return None
 
     try:
@@ -880,8 +847,6 @@ def exists_with_support_at_most(
             hit: Optional[tuple[list[int], list[int]]] = ([0], gram.kernel(0))
         elif s > 1:
             gram.push(0)
-            if slices:
-                slices.push(0)
             hit = descend()
         else:
             hit = None

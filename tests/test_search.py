@@ -179,6 +179,12 @@ class TestExists:
         assert pruned.status is plain.status is SearchStatus.EXHAUSTED
         assert (pruned.subsets_examined, plain.subsets_examined) == (0, 17902)
 
+    def test_reference_count_at_q4(self):
+        # the fifth reference point of the README: U_[2,2](3,4) has nothing
+        # of support <= 8, while the minimum (12) is out of reach here
+        outcome = exists_with_support_at_most(3, 4, 2, 2, 8)
+        assert (outcome.status, outcome.subsets_examined) == (SearchStatus.EXHAUSTED, 2265)
+
     def test_scale_guard(self):
         with pytest.raises(ScaleError):
             exists_with_support_at_most(17, 2, 1, 1, 2)
@@ -264,6 +270,14 @@ class TestSliceDeficits:
     )
     def test_values(self, n, q, lo, hi, value):
         assert search.slice_lower(n, q, lo, hi) == value
+
+    def test_more_coordinates_than_any_search_rejected(self):
+        # n = 16 is the most a search within the vertex cap has; the
+        # recursion would pass Python's limit from a few hundred on
+        assert search.slice_lower(16, 2, 4, 16) >= 1
+        for n in (17, 499):
+            with pytest.raises(ValueError, match="n <= 16"):
+                search.slice_lower(n, 3, n // 3, n // 2)
 
     @pytest.mark.parametrize("n, q", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2)])
     def test_no_support_below_it(self, n, q):
@@ -351,13 +365,13 @@ class TestSliceDeficits:
         plain = SearchBudget(symmetry_pruning=False)
         truth = [exists_with_support_at_most(*case, plain).status for case in cases]
         assert set(truth) == {SearchStatus.FOUND}
-        made = search._SliceCounts.__init__
+        made = search._SliceFilter.__init__
 
-        def raised(counts, *args):
-            made(counts, *args)
-            counts.bounds = tuple(m + (i == which) for i, m in enumerate(counts.bounds))
+        def raised(slices, *args):
+            made(slices, *args)
+            slices.bounds = tuple(m + (i == which) for i, m in enumerate(slices.bounds))
 
-        monkeypatch.setattr(search._SliceCounts, "__init__", raised)
+        monkeypatch.setattr(search._SliceFilter, "__init__", raised)
         missed = [case for case in cases
                   if exists_with_support_at_most(*case).status is SearchStatus.EXHAUSTED]
         assert missed
@@ -379,7 +393,15 @@ def walk_against_oracle(n, q, depth):
         checked += len(ahead)
         if len(prefix) + 1 < depth:
             for x in minimal:
-                walk(canon.child(x))
+                node = canon.child(x, range(x + 1, size))
+                # on a subset of the candidates: the same children among
+                # them, and the same state handed down
+                subset = range(x + 1, size, 2)
+                part = canon.child(x, subset)
+                assert part.children == [z for z in node.children if z in subset], (prefix, x)
+                assert (part.fixers, part.ties, part.thresholds) == (
+                    node.fixers, node.ties, node.thresholds), (prefix, x)
+                walk(node)
 
     # twice: the cached root hands out the same children on the second walk
     for _ in range(2):
@@ -436,6 +458,46 @@ class TestCanonicity:
         # q = 2, n = 10 has 10! coordinate permutations; a subset is built
         maps = search._pruning_maps(10, 2)
         assert len(maps) == search.MAX_MAP_ENTRIES // 2**10
+
+
+class TestChildrenPipeline:
+    """The children of a vertex: the vertices after it, then slice deficits, then canonicity."""
+
+    def test_slice_deficits_prune_without_maps(self, monkeypatch):
+        # the filter does not depend on the map table
+        plain = exists_with_support_at_most(3, 3, 2, 2, 6, SearchBudget(symmetry_pruning=False))
+        monkeypatch.setattr(search, "_pruning_maps", lambda n, q: ())
+        search._pruning_root.cache_clear()
+        try:
+            sliced = exists_with_support_at_most(3, 3, 2, 2, 6)
+        finally:
+            search._pruning_root.cache_clear()
+        assert sliced.status is plain.status is SearchStatus.FOUND
+        assert sliced.witness == plain.witness
+        assert sliced.subsets_examined < plain.subsets_examined
+
+    def test_no_node_without_candidates(self, monkeypatch):
+        # canonicity runs on what the slice deficits leave, and only when
+        # something is left; with the filter after canonicity these searches
+        # made 174, 93 and 157 nodes, root included
+        child = search._Canon.child
+        sizes = []
+
+        def spy(canon, x, candidates):
+            sizes.append(len(candidates))
+            return child(canon, x, candidates)
+
+        monkeypatch.setattr(search._Canon, "child", spy)
+        made = []
+        try:
+            for case in ((3, 3, 2, 2), (6, 2, 1, 2), (2, 5, 1, 1)):
+                search._pruning_root.cache_clear()
+                assert find_minimum(*case).conclusive
+                made.append(len(sizes) - sum(made))
+        finally:
+            search._pruning_root.cache_clear()
+        assert made == [86, 54, 150]
+        assert 0 not in sizes
 
 
 class TestCachedPivots:
