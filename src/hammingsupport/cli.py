@@ -146,6 +146,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if (args.lo is None) != (args.hi is None):
+        raise SystemExit("error: verify needs both --lo and --hi, or neither")
     f = read_hgf(args.file)
     profile = spectra.spectral_profile(f)
     uniform = reduction.is_uniform(f) if f.n >= 1 else None
@@ -160,7 +162,7 @@ def _cmd_verify(args) -> int:
         report["uniform_witnesses"] = [
             None if w is None else w for w in uniform.witnesses
         ]
-    if args.lo is not None and args.hi is not None:
+    if args.lo is not None:
         report["range"] = [args.lo, args.hi]
         report["member"] = spectra.in_direct_sum(f, args.lo, args.hi)
     if f.is_zero():

@@ -99,6 +99,26 @@ def index_to_word(index: int, n: int, q: int) -> Word:
     return tuple(reversed(digits))
 
 
+def word_map(
+    n: int, q: int, tau: Sequence[int], sigma: Sequence[Sequence[int]] | None = None
+) -> list[int]:
+    """For every word x in index order, the index of the word y with y[j] = sigma[j][x[tau[j]]].
+
+    tau is a 0-based permutation of range(n); sigma, when given, holds one
+    permutation of range(q) per coordinate of y, and None keeps symbols.
+    """
+    place = [0] * n
+    for j, c in enumerate(tau):
+        place[c] = j  # coordinate c of x lands on coordinate j of y
+    index = [0]
+    for c in range(n):
+        j = place[c]
+        weight = q ** (n - 1 - j)
+        steps = [s * weight for s in (range(q) if sigma is None else sigma[j])]
+        index = [a + b for a in index for b in steps]
+    return index
+
+
 def all_words(n: int, q: int) -> Iterator[Word]:
     """All q^n words in increasing index order."""
     validate_alphabet(q)
@@ -289,16 +309,9 @@ class GridFunction:
             raise ValueError(f"not a permutation of range({self.n}): {sigma!r}")
         if self.n <= 1:
             return self
-        n, q = self.n, self.q
-        # coordinate sigma[p] of x is coordinate p of the word f reads
-        weight = [0] * n
-        for p, c in enumerate(sigma):
-            weight[c] = q ** (n - 1 - p)
-        source = [0]
-        for c in range(n):
-            steps = [s * weight[c] for s in range(q)]
-            source = [i + t for i in source for t in steps]
-        return self._reduced(n, q, map(self.nums.__getitem__, source), self.den)
+        # coordinate p of the word f reads is coordinate sigma[p] of x
+        source = word_map(self.n, self.q, sigma)
+        return self._reduced(self.n, self.q, map(self.nums.__getitem__, source), self.den)
 
     # -- support -----------------------------------------------------------
 

@@ -193,18 +193,18 @@ import enum
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, filterfalse, permutations, product, repeat
+from itertools import compress, filterfalse, islice, permutations, repeat
 from math import gcd, inf, isqrt
 from operator import floordiv, itemgetter, le, mod, mul, sub
 from typing import Optional
 
-from .core import MAX_VERTICES, GridFunction, exceeds_vertex_cap, validate_alphabet
+from .core import MAX_VERTICES, GridFunction, exceeds_vertex_cap, validate_alphabet, word_map
 from . import spectra
 from .constructions import build_F1, build_F2, min_support_bound, SupportBound
 
 # Pruning tables hold at most this many maps, and at most MAX_MAP_ENTRIES
-# map entries in all; a larger stabilizer contributes a deterministic subset
-# (coordinate permutations first), which is sound and only prunes less.
+# map entries in all; a larger stabilizer contributes the first maps of a
+# fixed walk of the group, which is sound and only prunes less.
 MAX_STABILIZER = 20_000
 MAX_MAP_ENTRIES = 2**20
 
@@ -298,76 +298,48 @@ def _complement_kernel(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
     return tuple((q**n if d == 0 else 0) - inside[d] for d in range(n + 1))
 
 
-def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+def _symbol_choices(n: int, q: int):
+    """product(symbol permutations fixing 0, repeat=n), in its order, generated lazily.
 
-
-def _group_order_exceeds(n: int, q: int, cap: int) -> bool:
-    """Whether n! (q-1)!^n > cap, multiplied up only until the product passes cap."""
-    order = 1
-    for factor in chain(range(2, n + 1), *repeat(range(2, q), n)):
-        order *= factor
-        if order > cap:
-            return True
-    return False
+    product() would materialize its inputs: (q-1)! tuples, 4*10^7 at q = 12.
+    """
+    if n == 0:
+        yield ()
+        return
+    for rest in permutations(range(1, q)):
+        head = ((0,) + rest,)
+        for tail in _symbol_choices(n - 1, q):
+            yield head + tail
 
 
 @lru_cache(maxsize=8)
 def _pruning_maps(n: int, q: int) -> tuple[tuple[array, array], ...]:
     """Vertex permutations fixing the zero word, as (map, inverse) pairs.
 
-    Coordinate permutations composed with per-coordinate symbol permutations
-    that fix symbol 0.  When that group has more than
-    min(MAX_STABILIZER, MAX_MAP_ENTRIES // q^n) elements, coordinate
-    permutations alone, in lexicographic order, up to that many maps.
-    Identity excluded; each map and inverse is an array of q^n indices, of
-    one byte each up to 256 vertices and two bytes above.
-
-    The map (tau, sigma) sends word x to the word whose coordinate j is
-    sigma_j(x[tau(j)]); its inverse is the map (tau^-1, sigma'), with
-    sigma'_j the inverse of sigma_{tau^-1(j)}.  Each group element is built
-    once, one coordinate at a time, and serves as a map or an inverse.
+    The stabilizer of the zero word is the group of maps (tau, sigma): a
+    coordinate permutation tau with one symbol permutation sigma_j fixing 0
+    per coordinate, which send word x to the word whose coordinate j is
+    sigma_j(x[tau(j)]) (`core.word_map`).  It is walked lazily with tau
+    outermost, both in lexicographic order, and the first
+    min(MAX_STABILIZER, MAX_MAP_ENTRIES // q^n) elements after the identity
+    are kept: the whole group when it is that small, a subset otherwise,
+    which is sound and only prunes less.  The map count bounds the loops
+    over maps that each search node runs; the entry count bounds memory,
+    since each map and inverse is an array of q^n indices, of one byte each
+    up to 256 vertices and two bytes above.
     """
     size = q**n
     cap = min(MAX_STABILIZER, MAX_MAP_ENTRIES // size)
-    if _group_order_exceeds(n, q, cap):
-        symbol_perms = [tuple(range(q))]
-        choices = [(symbol_perms[0],) * n]
-    else:
-        symbol_perms = [(0,) + rest for rest in permutations(range(1, q))]
-        choices = list(product(symbol_perms, repeat=n))
-    symbol_inverse = {perm: _inverse(perm) for perm in symbol_perms}
-    weights = [q ** (n - 1 - j) for j in range(n)]  # coordinate 0 most significant
     typecode = "B" if size <= 256 else "H"  # q^n <= MAX_VERTICES = 2^16
-    identity = array(typecode, range(size))
-    built: dict[tuple, array] = {}
-
-    def vertex_map(element: tuple) -> array:
-        mapping = built.get(element)
-        if mapping is None:
-            tau, sigma = element
-            index = [0]
-            # source coordinate c lands on coordinate j = tau^-1(c) of the image
-            for j in _inverse(tau):
-                table = [sigma[j][b] * weights[j] for b in range(q)]
-                index = [a + b for a in index for b in table]
-            mapping = built[element] = array(typecode, index)
-        return mapping
-
-    def group():
-        # generators: product() would materialize all n! permutations
-        for tau in permutations(range(n)):
-            tau_inv = _inverse(tau)
-            for sigma in choices:
-                yield (tau, sigma), (tau_inv, tuple(symbol_inverse[sigma[t]] for t in tau_inv))
-
+    group = ((tau, sigma) for tau in permutations(range(n)) for sigma in _symbol_choices(n, q))
     maps: list[tuple[array, array]] = []
-    for element, inverse in group():
-        if len(maps) == cap:
-            break
-        mapping = vertex_map(element)
-        if mapping != identity:
-            maps.append((mapping, vertex_map(inverse)))
+    # the group acts faithfully on words, so only its first element is the identity
+    for tau, sigma in islice(group, 1, cap + 1):
+        mapping = array(typecode, word_map(n, q, tau, sigma))
+        inverse = array(typecode, mapping)
+        for x, y in enumerate(mapping):
+            inverse[y] = x
+        maps.append((mapping, inverse))
     return tuple(maps)
 
 

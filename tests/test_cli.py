@@ -142,6 +142,15 @@ class TestVerify:
         assert code == 0
         assert "member of U_[1,1]: True" in stdout
 
+    @pytest.mark.parametrize("bound", ["--lo", "--hi"])
+    def test_one_bound_of_the_range_rejected(self, tmp_path, capsys, bound):
+        # a lone --lo or --hi must not drop the membership question silently
+        path = tmp_path / "f.hgf"
+        path.write_text("1 3\n0 1\n")
+        code, stdout, stderr = run(capsys, "verify", str(path), bound, "1")
+        assert code == 1 and stdout == ""
+        assert stderr == "error: verify needs both --lo and --hi, or neither\n"
+
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "f.hgf"
         run(capsys, "gen", "--family", "counterexample-h", "-o", str(path))

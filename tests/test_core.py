@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
@@ -196,6 +197,26 @@ class TestPermute:
     def test_invalid_permutation(self):
         with pytest.raises(ValueError):
             GridFunction.zero(2, 3).permute((0, 0))
+
+
+class TestWordMap:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_against_index_to_word(self, n, q):
+        # coordinate j of the image of x is sigma[j][x[tau[j]]], read back
+        # through the positional encoding of index_to_word
+        size = q**n
+        words = [index_to_word(t, n, q) for t in range(size)]
+        index = {word: t for t, word in enumerate(words)}
+        rng = random.Random(10 * n + q)
+        elements = [(tuple(range(n)), None)]
+        elements += [(rng.sample(range(n), n), [rng.sample(range(q), q) for _ in range(n)])
+                     for _ in range(4)]
+        for tau, sigma in elements:
+            symbols = sigma or [range(q)] * n
+            expected = [index[tuple(symbols[j][x[tau[j]]] for j in range(n))] for x in words]
+            assert core.word_map(n, q, tau, sigma) == expected, (tau, sigma)
+        assert core.word_map(n, q, range(n)) == list(range(size))
 
 
 class TestSupport:

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import chain, combinations, product
-from math import inf
+from math import factorial, inf
 from operator import mul
 from pathlib import Path
 
@@ -213,6 +213,12 @@ class TestFindMinimum:
         assert report.minimum is None
         assert report.lower >= 1 and report.upper is None
 
+    def test_capped_q6_table_concludes(self):
+        # (2, 6) has 28800 maps fixing the zero word, above the cap of 20000
+        report = find_minimum(2, 6, 1, 1, SearchBudget(max_subsets=5000))
+        assert report.conclusive and report.minimum == 10
+        assert in_direct_sum(report.witness, 1, 1)
+
     def test_ceiling(self):
         report = find_minimum(2, 3, 1, 1, SearchBudget(max_support=2))
         assert not report.conclusive
@@ -416,24 +422,32 @@ class TestCanonicity:
     def test_agrees_with_brute_force_oracle(self, n, q, depth):
         walk_against_oracle(n, q, depth)
 
-    def test_capped_table_agrees_with_brute_force_oracle(self, monkeypatch):
+    @pytest.mark.parametrize("n, q, depth", [(4, 2, 7), (2, 4, 5)])
+    def test_capped_table_agrees_with_brute_force_oracle(self, monkeypatch, n, q, depth):
         # a capped table is a subset of the group, not a group: (4, 2) has 23
-        # maps besides the identity, and a cap of 9 keeps the first 9
+        # maps besides the identity and (2, 4) has 71, and a cap of 9 keeps
+        # the first 9; at (2, 4) they permute symbols only
         monkeypatch.setattr(search, "MAX_STABILIZER", 9)
         search._pruning_maps.cache_clear()
         search._pruning_root.cache_clear()
         try:
-            assert len(search._pruning_maps(4, 2)) == 9
-            walk_against_oracle(4, 2, 7)
+            assert len(search._pruning_maps(n, q)) == 9
+            walk_against_oracle(n, q, depth)
         finally:
             search._pruning_maps.cache_clear()
             search._pruning_root.cache_clear()
 
-    @pytest.mark.parametrize("n, q", [(2, 3), (3, 3), (2, 5), (3, 4), (4, 2), (7, 3)])
+    @pytest.mark.parametrize(
+        "n, q", [(2, 3), (3, 3), (2, 5), (3, 4), (4, 2), (7, 3), (2, 6), (1, 9), (3, 5)]
+    )
     def test_maps_are_automorphisms_fixing_zero(self, n, q):
+        # the whole group but the identity, n! (q-1)!^n - 1 maps, up to the cap
         size = q**n
         maps = search._pruning_maps(n, q)
-        assert 0 < len(maps) <= min(search.MAX_STABILIZER, search.MAX_MAP_ENTRIES // size)
+        order = factorial(n) * factorial(q - 1) ** n
+        cap = min(search.MAX_STABILIZER, search.MAX_MAP_ENTRIES // size)
+        assert len(maps) == min(order - 1, cap)
+        assert len({tuple(g) for g, _ in maps} | {tuple(range(size))}) == len(maps) + 1
         words = [index_to_word(t, n, q) for t in range(size)]
         pairs = [(x, (x * 7 + 3) % size) for x in range(0, size, max(size // 40, 1))]
         for g, ginv in maps:
@@ -458,6 +472,29 @@ class TestCanonicity:
         # q = 2, n = 10 has 10! coordinate permutations; a subset is built
         maps = search._pruning_maps(10, 2)
         assert len(maps) == search.MAX_MAP_ENTRIES // 2**10
+
+    def test_symbol_permutations_generated_lazily(self):
+        # (q-1)! symbol permutations are 4*10^7 tuples at q = 12, gigabytes
+        # if materialized; under a 1 GB address space each table is built up
+        # to its cap, n = 0 included
+        script = (
+            "import resource\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "limit = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+            "from hammingsupport import search\n"
+            "for n, q in [(0, 12), (1, 12), (1, 65536), (2, 256)]:\n"
+            "    print(len(search._pruning_maps(n, q)))\n"
+            "    search._pruning_maps.cache_clear()\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr[-500:]
+        assert done.stdout.split() == ["0", str(search.MAX_STABILIZER), "16", "16"]
 
 
 class TestChildrenPipeline:
