@@ -60,7 +60,6 @@ from .search import (
     SearchStatus,
     exists_with_support_at_most,
     find_minimum,
-    verify_lower_bound,
 )
 from .characterize import (
     FactorizeResult,

@@ -194,14 +194,22 @@ def _partition_and_uniformity(rng, full):
 
 
 def _verify_minimality(cases):
+    """The formula bound is `value`, met by F1 or F2, and the search finds nothing below it."""
     for n, q, lo, hi, value in cases:
         at = f"(n,q,lo,hi) = {(n, q, lo, hi)}"
-        report = search.verify_lower_bound(n, q, lo, hi)
-        require(report.conclusive and report.holds, f"lower bound fails at {at}")
+        bound = cons.min_support_bound(n, q, lo, hi).value
+        attained = (cons.build_F1 if lo + hi <= n else cons.build_F2)(n, q, lo, hi)
+        support = attained.support_size()
         require(
-            report.bound.value == value == report.witness_support,
-            f"bound {report.bound.value}, construction {report.witness_support}, "
-            f"expected {value} at {at}",
+            bound == value == support,
+            f"bound {bound}, construction {support}, expected {value} at {at}",
+        )
+        require(spectra.in_direct_sum(attained, lo, hi), f"construction not a member at {at}")
+        below = search.exists_with_support_at_most(n, q, lo, hi, value - 1)
+        found = below.witness.support_size() if below.witness else None
+        require(
+            below.status is search.SearchStatus.EXHAUSTED,
+            f"search {below.status.value} below {value}, witness support {found}, at {at}",
         )
 
 

@@ -153,7 +153,7 @@ coordinate one case holds:
 `slice_lower(n, q, lo, hi)` is the recursion min(q m3, m0, 2 m1 if
 q >= 3), with m3, m1 and m0 its own values at n - 1, inf on an empty
 window and 1 at n = 0.  It reads nothing the search found and never the
-paper's formula, so it is a bound the search derives on its own.
+paper's formula, so it is the one lower bound the search knows.
 
 For a path S and a coordinate, let c_a count the vertices of S in slice
 a.  A support C that contains S has at least c_a points in slice a, so
@@ -163,8 +163,11 @@ sum over them of max(0, m1 - c_a); with one occupied slice of c points,
 at least min(max(0, m0 - c), max(0, m1 - c) + m1), the second only at
 q >= 3.  When the lesser of the two cases exceeds s - |S| at some
 coordinate, no support of size <= s contains S, and S is dropped before
-its rank test: the zero word, the root's children, and the children of
-every other vertex, before canonicity looks at them.  If
+its rank test: the root's children, and the children of every other
+vertex, before canonicity looks at them.  The zero word alone has deficit
+`slice_lower` - 1 at every coordinate, so it is ruled out exactly when
+s < `slice_lower`; the search then returns at once, and under pruning
+`find_minimum` starts at s = `slice_lower`.  If
 some nonzero member has support <= s, some circuit (a minimal dependent
 set, so the support of a member) of size <= s holds the zero word.  The
 least such circuit in DFS order meets every bound, its proper prefixes
@@ -191,16 +194,15 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress, filterfalse, islice, permutations, repeat
 from math import gcd, inf, isqrt
 from operator import floordiv, itemgetter, le, mod, mul, sub
 from typing import Optional
 
-from .core import MAX_VERTICES, GridFunction, exceeds_vertex_cap, validate_alphabet, word_map
+from .core import MAX_VERTICES, GridFunction, validate_shape, word_map
 from . import spectra
-from .constructions import build_F1, build_F2, min_support_bound, SupportBound
 
 # Pruning tables hold at most this many maps, and at most MAX_MAP_ENTRIES
 # map entries in all; a larger stabilizer contributes the first maps of a
@@ -240,7 +242,6 @@ DEFAULT_BUDGET = SearchBudget()
 class SearchOutcome:
     status: SearchStatus
     witness: Optional[GridFunction]
-    min_found: Optional[int]
     subsets_examined: int
 
 
@@ -252,26 +253,6 @@ class MinimumReport:
     upper: Optional[int]        # and == upper when conclusive
     conclusive: bool
     subsets_examined: int
-
-
-@dataclass(frozen=True)
-class LowerBoundReport:
-    bound: SupportBound
-    holds: Optional[bool]       # None when the search budget ran out
-    conclusive: bool
-    witness_support: int
-    counterexample: Optional[GridFunction]
-    subsets_examined: int
-
-
-def _check_scale(n: int, q: int) -> int:
-    """q^n, or ScaleError above the vertex cap; no huge power is formed."""
-    validate_alphabet(q)
-    if exceeds_vertex_cap(n, q):
-        raise spectra.ScaleError(
-            f"q^n = {q}^{n} too large for the search (cap {MAX_VERTICES} vertices)"
-        )
-    return q**n
 
 
 @lru_cache(maxsize=8)
@@ -463,6 +444,11 @@ def slice_lower(n: int, q: int, lo: int, hi: int) -> float:
         return 1
     m3, m1, m0 = _slice_minima(n, q, lo, hi)
     return min(q * m3, m0, 2 * m1 if q >= 3 else inf)
+
+
+def _least_support(n: int, q: int, lo: int, hi: int, budget: SearchBudget) -> int:
+    """The least s at which a search for support <= s runs a rank test; see the module docstring."""
+    return slice_lower(n, q, lo, hi) if budget.symmetry_pruning else 1
 
 
 def _deficit(counts: list[int], m3: float, m1: float, m0: float) -> float:
@@ -729,12 +715,13 @@ def exists_with_support_at_most(
 ) -> SearchOutcome:
     """Decide whether some nonzero f in U_[lo,hi](n,q) has support <= s."""
     spectra.validate_range(n, lo, hi)
-    size = _check_scale(n, q)
+    validate_shape(n, q)
+    size = q**n
+    # the all-zero word is pinned into every candidate set
+    if s < _least_support(n, q, lo, hi, budget):
+        return SearchOutcome(SearchStatus.EXHAUSTED, None, 0)
     # slice deficits prune with the orbits; the plain DFS is the reference
     slices = _SliceFilter(n, q, lo, hi, s) if budget.symmetry_pruning else None
-    # the all-zero word is pinned into every candidate set
-    if s <= 0 or slices and not slices.allowed([], [0]):
-        return SearchOutcome(SearchStatus.EXHAUSTED, None, None, 0)
 
     gram = _GramPath(n, q, _complement_kernel(n, q, lo, hi), RANK_PRIME)
     maps = _pruning_maps(n, q) if budget.symmetry_pruning else ()
@@ -823,10 +810,10 @@ def exists_with_support_at_most(
         else:
             hit = None
     except _BudgetExceeded:
-        return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, None, tests)
+        return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, tests)
 
     if hit is None:
-        return SearchOutcome(SearchStatus.EXHAUSTED, None, None, tests)
+        return SearchOutcome(SearchStatus.EXHAUSTED, None, tests)
     chosen, coeff = hit
     witness = _witness_from_kernel(chosen, coeff, n, q)
     # re-validate through the membership test before reporting
@@ -834,7 +821,7 @@ def exists_with_support_at_most(
         raise RuntimeError(f"kernel vector of support {witness.support_size()}, not 1..{s}")
     if not spectra.in_direct_sum(witness, lo, hi):
         raise RuntimeError(f"kernel vector is not in U_[{lo},{hi}]({n},{q})")
-    return SearchOutcome(SearchStatus.FOUND, witness, witness.support_size(), tests)
+    return SearchOutcome(SearchStatus.FOUND, witness, tests)
 
 
 def find_minimum(
@@ -844,57 +831,23 @@ def find_minimum(
     hi: int,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> MinimumReport:
-    """Smallest support of a nonzero member of U_[lo,hi](n,q), by linear search."""
+    """Smallest support of a nonzero member of U_[lo,hi](n,q), by linear search.
+
+    The search counts up from `_least_support`: `slice_lower`, or 1 without pruning.
+    """
     spectra.validate_range(n, lo, hi)
-    size = _check_scale(n, q)
-    ceiling = budget.max_support if budget.max_support is not None else size
+    validate_shape(n, q)
+    ceiling = budget.max_support if budget.max_support is not None else q**n
     total = 0
-    for s in range(1, ceiling + 1):
-        remaining = None
-        if budget.max_subsets is not None:
-            remaining = max(budget.max_subsets - total, 0)
-        step = SearchBudget(
-            max_support=budget.max_support,
-            max_subsets=remaining,
-            symmetry_pruning=budget.symmetry_pruning,
-        )
-        outcome = exists_with_support_at_most(n, q, lo, hi, s, step)
+    for s in range(_least_support(n, q, lo, hi, budget), ceiling + 1):
+        left = None if budget.max_subsets is None else budget.max_subsets - total
+        outcome = exists_with_support_at_most(n, q, lo, hi, s, replace(budget, max_subsets=left))
         total += outcome.subsets_examined
         if outcome.status is SearchStatus.FOUND:
-            if outcome.min_found != s:  # s-1 was exhausted already
-                raise RuntimeError(f"witness of support {outcome.min_found} at s = {s}")
+            found = outcome.witness.support_size()
+            if found != s:  # nothing of support below s exists
+                raise RuntimeError(f"witness of support {found} at s = {s}")
             return MinimumReport(s, outcome.witness, s, s, True, total)
         if outcome.status is SearchStatus.BUDGET_EXCEEDED:
             return MinimumReport(None, None, s, None, False, total)
     return MinimumReport(None, None, ceiling + 1, None, False, total)
-
-
-def verify_lower_bound(
-    n: int,
-    q: int,
-    lo: int,
-    hi: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-) -> LowerBoundReport:
-    """Check the formula bound exhaustively below and constructively at it."""
-    bound = min_support_bound(n, q, lo, hi)
-    below = exists_with_support_at_most(n, q, lo, hi, bound.value - 1, budget)
-    if lo + hi <= n:
-        attained = build_F1(n, q, lo, hi)
-    else:
-        attained = build_F2(n, q, lo, hi)
-    witness_support = attained.support_size()
-    witness_ok = witness_support == bound.value and spectra.in_direct_sum(
-        attained, lo, hi
-    )
-    if below.status is SearchStatus.FOUND:
-        return LowerBoundReport(
-            bound, False, True, witness_support, below.witness, below.subsets_examined
-        )
-    if below.status is SearchStatus.EXHAUSTED:
-        return LowerBoundReport(
-            bound, bool(witness_ok), True, witness_support, None, below.subsets_examined
-        )
-    return LowerBoundReport(
-        bound, None, False, witness_support, None, below.subsets_examined
-    )

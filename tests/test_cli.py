@@ -324,7 +324,7 @@ class TestMinsupport:
         )
         assert code == 1
         assert stdout == ""
-        assert stderr.startswith("error: q^n = 10^3000000 too large")
+        assert stderr.startswith("error: q^n = 10^3000000 exceeds the vertex cap 65536")
         assert stderr.count("\n") == 1
 
     @pytest.mark.parametrize("n, q", [("-1", "3"), ("2", "1"), ("2", "0")])

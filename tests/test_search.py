@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hammingsupport import (
+    GridFunction,
     SearchBudget,
     build_F1,
     build_F2,
@@ -20,10 +21,11 @@ from hammingsupport import (
     hamming_distance,
     in_direct_sum,
     index_to_word,
+    constructions,
     krawtchouk,
     search,
-    verify_lower_bound,
 )
+from hammingsupport.claims import ClaimFailure, _verify_minimality
 from hammingsupport.spectra import ScaleError
 
 from conftest import fraction_matrix_rank, is_orbit_minimal
@@ -66,14 +68,13 @@ class TestExists:
     def test_found_at_bound(self):
         outcome = exists_with_support_at_most(2, 3, 1, 1, 4)
         assert outcome.status is SearchStatus.FOUND
-        assert outcome.min_found == 4
         assert outcome.witness.support_size() == 4
         assert in_direct_sum(outcome.witness, 1, 1)
 
     def test_found_support_six_open_regime(self):
         outcome = exists_with_support_at_most(3, 3, 2, 2, 6)
         assert outcome.status is SearchStatus.FOUND
-        assert outcome.min_found == 6
+        assert outcome.witness.support_size() == 6
 
     def test_full_range_delta(self):
         outcome = exists_with_support_at_most(2, 3, 0, 2, 1)
@@ -220,31 +221,61 @@ class TestFindMinimum:
         assert in_direct_sum(report.witness, 1, 1)
 
     def test_ceiling(self):
+        # the ceiling lies below slice_lower = 3, so no search runs
         report = find_minimum(2, 3, 1, 1, SearchBudget(max_support=2))
         assert not report.conclusive
-        assert report.lower == 3
+        assert (report.lower, report.subsets_examined) == (3, 0)
+
+    def test_starts_at_slice_lower(self, monkeypatch):
+        # U_0(16,2) is the constants, and slice_lower is q^n: the search for
+        # s = 65536 is the only one, where a start at 1 makes 65536
+        calls = []
+
+        def spy(n, q, lo, hi, s, budget):
+            calls.append(s)
+            return exists_with_support_at_most(n, q, lo, hi, s, budget)
+
+        monkeypatch.setattr(search, "exists_with_support_at_most", spy)
+        report = find_minimum(16, 2, 0, 0, SearchBudget(max_subsets=3))
+        assert calls == [65536]
+        assert not report.conclusive
+        assert (report.lower, report.subsets_examined) == (65536, 3)
+        calls.clear()
+        report = find_minimum(2, 3, 1, 1, SearchBudget(symmetry_pruning=False))
+        assert calls == [1, 2, 3, 4] and report.minimum == 4
 
 
-class TestVerifyLowerBound:
-    @pytest.mark.parametrize(
-        "n, q, lo, hi, value",
-        [(2, 3, 1, 1, 4), (2, 3, 0, 1, 3), (2, 3, 1, 2, 2), (1, 5, 1, 1, 2)],
-    )
-    def test_holds(self, n, q, lo, hi, value):
-        report = verify_lower_bound(n, q, lo, hi)
-        assert report.conclusive and report.holds
-        assert report.bound.value == value
-        assert report.witness_support == value
+class TestMinimalityClaim:
+    """`claims._verify_minimality`: formula bound, construction and search agree."""
 
-    def test_violated_at_q3_overloaded(self):
-        report = verify_lower_bound(3, 3, 2, 2)
-        assert report.conclusive and report.holds is False
-        assert report.counterexample.support_size() < report.bound.value
-        assert in_direct_sum(report.counterexample, 2, 2)
+    def test_holds(self):
+        _verify_minimality([(2, 3, 1, 1, 4)])
 
-    def test_inconclusive_on_tiny_budget(self):
-        report = verify_lower_bound(2, 4, 1, 1, SearchBudget(max_subsets=5))
-        assert not report.conclusive and report.holds is None
+    def test_search_below_the_formula_fails(self):
+        # the formula's 8 is invalid at q = 3: the search finds support 6 <= 7
+        with pytest.raises(ClaimFailure, match="found below 8, witness support 6"):
+            _verify_minimality([(3, 3, 2, 2, 8)])
+
+    def test_wrong_value_fails(self):
+        with pytest.raises(ClaimFailure, match="bound 4, construction 4, expected 5"):
+            _verify_minimality([(2, 3, 1, 1, 5)])
+
+    def test_non_member_construction_fails(self, monkeypatch):
+        # four points of support, as F1 has, but the indicator of a set is
+        # no member of U_1(2,3)
+        fake = GridFunction(2, 3, [1, 1, 1, 1, 0, 0, 0, 0, 0])
+        monkeypatch.setattr(constructions, "build_F1", lambda n, q, lo, hi: fake)
+        with pytest.raises(ClaimFailure, match="construction not a member"):
+            _verify_minimality([(2, 3, 1, 1, 4)])
+
+    def test_construction_off_the_bound_fails(self, monkeypatch):
+        # a member of U_1(2,3) with support 6, not the bound 4
+        wide = build_F1(2, 3, 1, 1, [constructions.a1(0, 0)])
+        wide += build_F1(2, 3, 1, 1, [constructions.a1(1, 1)]).scale(2)
+        assert in_direct_sum(wide, 1, 1)
+        monkeypatch.setattr(constructions, "build_F1", lambda n, q, lo, hi: wide)
+        with pytest.raises(ClaimFailure, match="bound 4, construction 6, expected 4"):
+            _verify_minimality([(2, 3, 1, 1, 4)])
 
 
 class TestWitnessSoundness:
@@ -284,6 +315,27 @@ class TestSliceDeficits:
         for n in (17, 499):
             with pytest.raises(ValueError, match="n <= 16"):
                 search.slice_lower(n, 3, n // 3, n // 2)
+
+    def test_pruned_search_starts_at_it(self):
+        # the zero word's slice deficit is slice_lower - 1 (n = 0 has no
+        # coordinate, and slice_lower = 1): a pruned search runs no rank
+        # test exactly when s < slice_lower, on every cell with q^n <= 64
+        budget = SearchBudget(max_subsets=1)
+        for q in range(2, 9):
+            n = 0
+            while q**n <= 64:
+                for lo in range(n + 1):
+                    for hi in range(lo, n + 1):
+                        bound = search.slice_lower(n, q, lo, hi)
+                        for s in range(bound - 2, bound + 1):
+                            at = (n, q, lo, hi, s)
+                            if n:
+                                zero = search._SliceFilter(n, q, lo, hi, s).allowed([], [0])
+                                assert (not zero) == (s < bound), at
+                            o = exists_with_support_at_most(n, q, lo, hi, s, budget)
+                            skipped = (o.status, o.subsets_examined) == (SearchStatus.EXHAUSTED, 0)
+                            assert skipped == (s < bound), at
+                n += 1
 
     @pytest.mark.parametrize("n, q", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2)])
     def test_no_support_below_it(self, n, q):
