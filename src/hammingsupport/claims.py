@@ -194,7 +194,7 @@ def _partition_and_uniformity(rng, full):
 
 
 def _verify_minimality(cases):
-    """The formula bound is `value`, met by F1 or F2, and the search finds nothing below it."""
+    """The formula bound is `value`, met by F1 or F2, and no search finds anything below it."""
     for n, q, lo, hi, value in cases:
         at = f"(n,q,lo,hi) = {(n, q, lo, hi)}"
         bound = cons.min_support_bound(n, q, lo, hi).value
@@ -205,11 +205,22 @@ def _verify_minimality(cases):
             f"bound {bound}, construction {support}, expected {value} at {at}",
         )
         require(spectra.in_direct_sum(attained, lo, hi), f"construction not a member at {at}")
-        below = search.exists_with_support_at_most(n, q, lo, hi, value - 1)
+        _require_nothing_below(n, q, lo, hi, value, at)
+
+
+def _require_nothing_below(n, q, lo, hi, value, at):
+    """The pruned search and the plain DFS both find nothing of support below `value`.
+
+    The pruned search often rules every set out by `slice_lower` alone,
+    with no rank test, so the plain DFS checks the claim without that bound.
+    """
+    for budget in (search.DEFAULT_BUDGET, search.SearchBudget(symmetry_pruning=False)):
+        below = search.exists_with_support_at_most(n, q, lo, hi, value - 1, budget)
         found = below.witness.support_size() if below.witness else None
+        kind = "pruned" if budget.symmetry_pruning else "plain"
         require(
             below.status is search.SearchStatus.EXHAUSTED,
-            f"search {below.status.value} below {value}, witness support {found}, at {at}",
+            f"{kind} search {below.status.value} below {value}, witness support {found}, at {at}",
         )
 
 
@@ -297,9 +308,7 @@ def _tensor_additivity(rng, full):
 
 
 def _open_regime_minimum(rng, full):
-    below = search.exists_with_support_at_most(3, 3, 2, 2, 5)
-    ok = below.status is search.SearchStatus.EXHAUSTED
-    require(ok, f"support <= 5 in U_[2,2](3,3): {below.status.value}")
+    _require_nothing_below(3, 3, 2, 2, 6, "(n,q,lo,hi) = (3, 3, 2, 2)")
     report = search.find_minimum(3, 3, 2, 2)
     require(report.conclusive and report.minimum == 6, f"minimum {report.minimum}")
     witness = report.witness

@@ -26,7 +26,7 @@ from functools import cache
 from . import characterize as chz
 from . import constructions as cons
 from . import reduction, search, spectra
-from .core import GridFunction, HGFError, dumps_hgf, read_hgf, validate_shape, write_hgf
+from .core import GridFunction, dumps_hgf, read_hgf, validate_shape, write_hgf
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,9 +159,7 @@ def _cmd_verify(args) -> int:
     }
     if uniform is not None:
         report["uniform"] = uniform.uniform
-        report["uniform_witnesses"] = [
-            None if w is None else w for w in uniform.witnesses
-        ]
+        report["uniform_witnesses"] = list(uniform.witnesses)
     if args.lo is not None:
         report["range"] = [args.lo, args.hi]
         report["member"] = spectra.in_direct_sum(f, args.lo, args.hi)
@@ -500,7 +498,7 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 1
         return 0 if exc.code is None else int(exc.code)
-    except (HGFError, cons.RegimeError, spectra.ScaleError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # HGFError, RegimeError and ScaleError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,12 +53,11 @@ that pruning allows only, all in one pass per parent x.  They are the
 residues push(x) would write, so each reads zero exactly when the lookup
 after a push would.  The entries t_i(z) are gathered into one list per
 vertex z, at most once per path and prime, and shared by every parent x
-of that level.  The tests up to and including the first zero are counted
-in one step; when that step passes the cap, the count stops at the cap,
-as it does when each test is counted before it runs.  A zero is confirmed
-as below with x pushed; the remaining children are tested and counted one
-by one on that path, and x is popped at the end.  So decisions, counts
-and witnesses are those of the pushed form.
+of that level.  The tests before the first zero are counted in one step,
+which stops the count at the cap when the cap falls inside it.  From that
+zero on, x is pushed and its remaining children form an ordinary frame, so
+confirming the zero, any false alarm and the children after it run as at
+every other level.
 
 The factorization is kept modulo a prime p, at first RANK_PRIME < 2^30.  A
 pivot that is nonzero mod p proves det M[S+x,S+x] != 0 over Q (rank mod p
@@ -80,8 +79,8 @@ vanish mod p.  The search then stays at that prime.  So decisions,
 rank-test counts and witnesses are those of an exact search, at any prime.
 
 Each path vertex keeps the two lists t_k and pivot_{k+1}, of q^n residues
-each (zero below y).  At most max(1, s - 2) vertices are pushed, and s - 1
-while a last-level vertex is pushed for a zero, so with pivot_0 that is at
+each (zero below y).  At most s - 2 vertices are pushed, and s - 1 while
+a last-level vertex is pushed for a zero, so with pivot_0 that is at
 most (2s - 1) q^n residues in all, plus the upper triangle of one
 (k+1)-square minor, k < s, kept from the last exact check, and the lists
 gathered at the last level: at most (s - 2) q^n more references to those
@@ -124,8 +123,7 @@ ones among those; a node is made only when the filter leaves something,
 and a vertex with no children is never pushed.  The root [0] is made once
 per (n, q) for every vertex, and serves every search on it
 (`_pruning_root`); each search filters its children.  No other node is
-kept.  With no map in the table no node is built, and the children are
-the ones the slice deficits allow; with pruning off they are plain
+kept.  With pruning off no node is built and the children are plain
 ranges.
 
 Slice deficits prune with the orbits.  Let f be a nonzero member of
@@ -185,9 +183,9 @@ read by index arithmetic, on the coordinates that rule a symbol out only.
 reference.
 
 The depth-first search keeps an explicit stack of (node, remaining
-children) frames, so the depth of a path is not bounded by Python's
-recursion limit.  Budgets count rank tests, not wall time, so runs are
-reproducible.
+children) frames, the first holding the zero word alone, so the depth of
+a path is not bounded by Python's recursion limit.  Budgets count rank
+tests, not wall time, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -724,22 +722,22 @@ def exists_with_support_at_most(
     slices = _SliceFilter(n, q, lo, hi, s) if budget.symmetry_pruning else None
 
     gram = _GramPath(n, q, _complement_kernel(n, q, lo, hi), RANK_PRIME)
-    maps = _pruning_maps(n, q) if budget.symmetry_pruning else ()
     limit = budget.max_subsets
     tests = 0
 
-    def count() -> None:
+    def charge(k: int) -> None:
+        """Count k rank tests; past the cap the count stops at the cap."""
         nonlocal tests
-        if limit is not None and tests >= limit:
+        if limit is not None and tests + k > limit:
+            tests = limit
             raise _BudgetExceeded
-        tests += 1
-
-    def test_counted(x: int) -> bool:
-        count()
-        return gram.test(x)
+        tests += k
 
     def expand(canon: Optional[_Canon], x: int):
         """The node of S + [x] and its children: the vertices after x, then slices, then orbits."""
+        if x == 0 and slices:  # the root and its orbit-minimal children are cached
+            canon = _pruning_root(n, q)
+            return canon, slices.allowed([0], canon.children)
         children = range(x + 1, size)
         if slices:
             children = slices.allowed(gram.vertices + [x], children)
@@ -748,67 +746,38 @@ def exists_with_support_at_most(
             children = canon.children
         return canon, children
 
-    def last_level(x: int, zs) -> Optional[tuple[list[int], list[int]]]:
-        """Test the sets S + [x, z] for the children z of x, pushing x only to confirm a zero."""
-        nonlocal tests
-        pivots = gram.pivots_after(x, zs)
-        # the tests up to and including the first zero, counted in one step
-        zero = pivots.index(0) if 0 in pivots else len(pivots)
-        step = min(zero + 1, len(pivots))
-        if limit is not None and tests + step > limit:
-            tests = limit
-            raise _BudgetExceeded
-        tests += step
-        if zero == len(pivots):
-            return None
-        z = zs[zero]
-        gram.push(x)
-        if not gram.test(z):
-            return gram.vertices + [z], gram.kernel(z)
-        # a false alarm: the rest of the children on the pushed path
-        for z in zs[zero + 1:]:
-            if not test_counted(z):
-                return gram.vertices + [z], gram.kernel(z)
-        gram.pop()
-        return None
-
     def descend() -> Optional[tuple[list[int], list[int]]]:
-        """Depth-first below the pinned zero word, one (node, candidates) frame per depth."""
-        root = _pruning_root(n, q) if maps else None
-        children = root.children if root else range(1, size)
-        stack = [(root, iter(slices.allowed([0], children) if slices else children))]
+        """Depth-first from the zero word, one (node, candidates) frame per depth."""
+        stack: list = [(None, iter([0]))]
         while stack:
             canon, candidates = stack[-1]
             depth = len(gram.vertices)
             for x in candidates:
-                if not test_counted(x):
+                charge(1)
+                if not gram.test(x):
                     return gram.vertices + [x], gram.kernel(x)
                 if depth + 1 == s:
                     continue
-                child, grandchildren = expand(canon, x)
-                if not grandchildren:
-                    continue
-                if depth + 2 == s:
-                    hit = last_level(x, grandchildren)
-                    if hit:
-                        return hit
+                child, kids = expand(canon, x)
+                if kids and depth + 2 == s:
+                    # test the last level without a push, up to the first zero
+                    pivots = gram.pivots_after(x, kids)
+                    zero = pivots.index(0) if 0 in pivots else len(pivots)
+                    charge(zero)
+                    kids = kids[zero:]
+                if not kids:
                     continue
                 gram.push(x)
-                stack.append((child, iter(grandchildren)))
+                stack.append((child, iter(kids)))
                 break
             else:
                 stack.pop()
-                gram.pop()
+                if stack:
+                    gram.pop()
         return None
 
     try:
-        if not test_counted(0):
-            hit: Optional[tuple[list[int], list[int]]] = ([0], gram.kernel(0))
-        elif s > 1:
-            gram.push(0)
-            hit = descend()
-        else:
-            hit = None
+        hit = descend()
     except _BudgetExceeded:
         return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, tests)
 

@@ -89,7 +89,7 @@ from math import comb
 from operator import add, mul, sub
 from typing import Sequence
 
-from .core import GridFunction, ScaleError  # noqa: F401  ScaleError re-exported
+from .core import GridFunction
 
 
 def _check_eigenindex(n: int, i: int) -> None:

@@ -26,7 +26,7 @@ from hammingsupport import (
     search,
 )
 from hammingsupport.claims import ClaimFailure, _verify_minimality
-from hammingsupport.spectra import ScaleError
+from hammingsupport.core import ScaleError
 
 from conftest import fraction_matrix_rank, is_orbit_minimal
 
@@ -120,7 +120,13 @@ class TestExists:
 
     @pytest.mark.parametrize(
         "n, q, lo, hi, s, prune",
-        [(3, 3, 2, 2, 5, True), (2, 3, 1, 1, 4, True), (2, 3, 1, 1, 4, False)],
+        [
+            (3, 3, 2, 2, 5, True),
+            (2, 3, 1, 1, 4, True),
+            (2, 3, 1, 1, 4, False),
+            (3, 3, 2, 2, 6, True),  # found at a last-level zero, after 200 tests
+            (2, 5, 1, 1, 7, True),  # exhausted after 137 tests
+        ],
     )
     def test_every_budget_boundary(self, n, q, lo, hi, s, prune):
         # a budget of L tests stops after exactly L, wherever the L-th falls
@@ -254,6 +260,13 @@ class TestMinimalityClaim:
     def test_search_below_the_formula_fails(self):
         # the formula's 8 is invalid at q = 3: the search finds support 6 <= 7
         with pytest.raises(ClaimFailure, match="found below 8, witness support 6"):
+            _verify_minimality([(3, 3, 2, 2, 8)])
+
+    def test_plain_search_does_not_rest_on_slice_lower(self, monkeypatch):
+        # a bound that rules out every set leaves the pruned search no rank
+        # test, but the plain DFS still finds support 6 below the formula's 8
+        monkeypatch.setattr(search, "slice_lower", lambda n, q, lo, hi: inf)
+        with pytest.raises(ClaimFailure, match="plain search found below 8, witness support 6"):
             _verify_minimality([(3, 3, 2, 2, 8)])
 
     def test_wrong_value_fails(self):

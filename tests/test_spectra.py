@@ -29,7 +29,7 @@ from hammingsupport import (
     project_span,
     spectral_profile,
 )
-from hammingsupport.spectra import ScaleError
+from hammingsupport.core import ScaleError
 
 from conftest import (
     lagrange_project,
