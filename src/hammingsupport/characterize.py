@@ -17,7 +17,7 @@ Every peel is an exact identity (f = a4(m) (x) f_m, a3 (x) f_0,
 a2(k,m) (x) f_k or a1(k,m) (x) h), so a peel that uses up every coordinate
 is a valid factorization, whatever order it took.  One check of the peeled
 kinds against the family template then decides the family.  The peel runs
-on the integer numerators of f (`reduction.slice_numerators`): every slice
+on the integer numerators of f (`reduction.slice_lists`): every slice
 shares f's denominator, so the zero, equality and negation tests need no
 reduction, and c is the last numerator left over that denominator.
 
@@ -54,7 +54,7 @@ from .constructions import (
     family_template,
     min_support_bound,
 )
-from .reduction import slice_numerators
+from .reduction import slice_lists
 
 
 class FactorizeStatus(enum.Enum):
@@ -70,10 +70,6 @@ class FactorizeResult:
     reason: str
 
 
-def _slices(g: list[int], n: int, q: int, r: int) -> list[list[int]]:
-    return [slice_numerators(g, n, q, r, k) for k in range(q)]
-
-
 def _match_a1(g: list[int], n: int, q: int, s: int):
     """Match g == a1(k,m) on coordinates (0, s) times a cofactor.
 
@@ -82,7 +78,7 @@ def _match_a1(g: list[int], n: int, q: int, s: int):
     around shows up as the transposed pattern with a negated cofactor, so a
     single ordered test covers both orientations.
     """
-    pair_slices = [_slices(gx, n - 1, q, s - 1) for gx in _slices(g, n, q, 0)]
+    pair_slices = [slice_lists(gx, n - 1, q, s - 1) for gx in slice_lists(g, n, q, 0)]
     nonzero = {(x, y) for x in range(q) for y in range(q) if any(pair_slices[x][y])}
     if len(nonzero) != 2 * (q - 1):
         return None
@@ -138,7 +134,7 @@ def _peel(f: GridFunction, family: str, i: int, j: int):
         items = []
         r = 0
         while r < len(coords):
-            hit = detect(_slices(g, len(coords), q, r))
+            hit = detect(slice_lists(g, len(coords), q, r))
             if hit is None:
                 r += 1
             else:  # the next coordinate shifts into r

@@ -189,7 +189,8 @@ def _partition_and_uniformity(rng, full):
                     bound = cons.uniform_support_bound(n, q, i, j)
                     require(f.support_size() == bound, f"F1 off the uniform bound at {at}")
                 for r in range(n):
-                    total = sum(p.support_size() for p in reduction.slices(f, r))
+                    parts = reduction.slice_lists(f.nums, n, q, r)
+                    total = sum(len(p) - p.count(0) for p in parts)
                     require(total == f.support_size(), f"slices at {r} at {at}")
 
 

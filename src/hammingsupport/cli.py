@@ -197,16 +197,18 @@ def _cmd_reduce(args) -> int:
     r = args.coord - 1
     if not 0 <= r < f.n:
         raise SystemExit(f"error: coordinate {args.coord} out of range 1..{f.n}")
-    parts = reduction.slices(f, r)
-    profile = spectra.spectral_profile(f)
-    lo = args.lo if args.lo is not None else (profile[0] if profile else 0)
-    hi = args.hi if args.hi is not None else (profile[-1] if profile else 0)
+    parts = reduction.slice_lists(f.nums, f.n, f.q, r)
+    lo, hi = args.lo, args.hi
+    if lo is None or hi is None:
+        profile = spectra.spectral_profile(f) or (0,)
+        lo = profile[0] if lo is None else lo
+        hi = profile[-1] if hi is None else hi
     descent = reduction.check_lemma_reduction(f, lo, hi, r)
     ineq = reduction.support_lower_bound_inequality(f, r)
     report: dict = {
         "coordinate": args.coord,
         "range": [lo, hi],
-        "slice_supports": [p.support_size() for p in parts],
+        "slice_supports": [len(p) - p.count(0) for p in parts],
         "descent_precondition": descent.precondition_ok,
         "descent_cases": [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -306,8 +308,7 @@ def _cmd_minsupport(args) -> int:
               f"{report.minimum}")
         print(f"rank tests: {report.subsets_examined}")
     else:
-        upper = "?" if report.upper is None else report.upper
-        print(f"inconclusive: minimum in [{report.lower}, {upper}] "
+        print(f"inconclusive: minimum in [{report.lower}, ?] "
               f"after {report.subsets_examined} rank tests")
     return 0 if report.conclusive else 2
 

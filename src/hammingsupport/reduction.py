@@ -26,49 +26,51 @@ the first q-1 slices coincide,
 Checkers return structured reports rather than booleans so that failures
 carry the offending slice pair.
 
-Every slice of f = nums / den has the same denominator den, so two slices
-are equal, negatives of each other or zero exactly when their numerators
-are, and a slice and its numerators have the same support.
-`slice_numerators` cuts a slice out of the numerator tuple; `restrict`
-reduces it to a GridFunction, while `is_uniform`,
-`support_lower_bound_inequality` and the factorizer in `characterize`
-compare and count the integer slices directly.
+Every slice of f = nums / den has the denominator den, which changes no
+equality, support or membership.  So every check runs on the integer slices
+that `slice_lists` cuts out of the numerators; only `restrict` and `slices`
+reduce them to GridFunctions.  Rule 1 is checked on the q-1 differences
+f_0 - f_m: f_k - f_m = (f_0 - f_m) - (f_0 - f_k) and U_[i-1, j-1] is a
+subspace, so every pair passes exactly when these do (the span argument in
+`spectra`).  The pairs (0, m) come first in the order k < m, so the first
+failing pair is the same as in a loop over every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import ne
+from operator import ne, sub
 from typing import Optional, Sequence
 
 from .core import GridFunction
-from .spectra import in_direct_sum, validate_range
+from .spectra import _nonzero_weights, in_direct_sum, validate_range
 
 
-def slice_numerators(nums: Sequence[int], n: int, q: int, r: int, k: int) -> list[int]:
-    """The entries of nums (q^n, in index order) whose word has symbol k at coordinate r."""
+def slice_lists(nums: Sequence[int], n: int, q: int, r: int) -> list[list[int]]:
+    """The q slices at coordinate r (0-based) of nums, q^n entries in index order."""
+    if not 0 <= r < n:
+        raise ValueError(f"coordinate {r} out of range [0, {n})")
     low = q ** (n - 1 - r)
     if low == 1:
-        return list(nums[k::q])
-    blocks = range(k * low, len(nums), q * low)
-    return list(chain.from_iterable(nums[base : base + low] for base in blocks))
+        return [list(nums[k::q]) for k in range(q)]
+    # slice k is every q-th run of low entries, starting at run k
+    return [
+        list(chain.from_iterable(nums[b : b + low] for b in range(k * low, len(nums), q * low)))
+        for k in range(q)
+    ]
 
 
 def restrict(f: GridFunction, r: int, k: int) -> GridFunction:
     """The slice of f with coordinate r (0-based) fixed to symbol k."""
-    n, q = f.n, f.q
-    if n < 1:
-        raise ValueError("cannot restrict a 0-coordinate function")
-    if not 0 <= r < n:
-        raise ValueError(f"coordinate {r} out of range [0, {n})")
-    if not 0 <= k < q:
-        raise ValueError(f"symbol {k} out of range for q = {q}")
-    return GridFunction._reduced(n - 1, q, slice_numerators(f.nums, n, q, r, k), f.den)
+    if not 0 <= k < f.q:
+        raise ValueError(f"symbol {k} out of range for q = {f.q}")
+    return GridFunction._reduced(f.n - 1, f.q, slice_lists(f.nums, f.n, f.q, r)[k], f.den)
 
 
 def slices(f: GridFunction, r: int) -> list[GridFunction]:
-    return [restrict(f, r, k) for k in range(f.q)]
+    parts = slice_lists(f.nums, f.n, f.q, r)
+    return [GridFunction._reduced(f.n - 1, f.q, p, f.den) for p in parts]
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def is_uniform(f: GridFunction) -> UniformityReport:
         raise ValueError("uniformity needs at least one coordinate")
     witnesses: list[Optional[int]] = []
     for r in range(f.n):
-        parts = [slice_numerators(f.nums, f.n, f.q, r, k) for k in range(f.q)]
+        parts = slice_lists(f.nums, f.n, f.q, r)
         found: Optional[int] = None
         for l in range(f.q):
             rest = [parts[k] for k in range(f.q) if k != l]
@@ -95,13 +97,11 @@ def is_uniform(f: GridFunction) -> UniformityReport:
     return UniformityReport(all(w is not None for w in witnesses), tuple(witnesses))
 
 
-def _in_window(g: GridFunction, lo: int, hi: int) -> bool:
-    """Membership in U_[lo,hi](g.n, q) after intersecting with [0, g.n]."""
-    lo = max(lo, 0)
-    hi = min(hi, g.n)
-    if lo > hi:
-        return g.is_zero()
-    return in_direct_sum(g, lo, hi)
+def _in_window(g: list[int], n: int, q: int, lo: int, hi: int) -> bool:
+    """Membership of the q^n integers g in U_[lo,hi](n, q), the window clipped to [0, n]."""
+    lo, hi = max(lo, 0), min(hi, n)
+    window = (2 << hi) - (1 << lo) if lo <= hi else 0
+    return not _nonzero_weights(g, n, q, ~window, True)
 
 
 @dataclass(frozen=True)
@@ -128,33 +128,23 @@ def check_lemma_reduction(f: GridFunction, lo: int, hi: int, r: int) -> Reductio
         raise ValueError("descent rules need n >= 2")
     if not in_direct_sum(f, lo, hi):
         return ReductionReport(False, ())
-    parts = slices(f, r)
-    cases = []
+    n, q = f.n - 1, f.q  # the slices live on f.n - 1 coordinates
+    parts = slice_lists(f.nums, f.n, q, r)
 
-    ok, detail = True, ""
-    for k in range(f.q):
-        for m in range(k + 1, f.q):
-            if not _in_window(parts[k] - parts[m], lo - 1, hi - 1):
-                ok, detail = False, f"slice pair k={k}, m={m} at coordinate {r}"
-                break
-        if not ok:
-            break
-    cases.append(CaseResult("differences drop to [lo-1, hi-1]", ok, detail))
+    # the differences against slice 0 decide every pair (module docstring)
+    diffs = enumerate((list(map(sub, parts[0], p)) for p in parts[1:]), 1)
+    bad = next((m for m, d in diffs if not _in_window(d, n, q, lo - 1, hi - 1)), None)
+    detail = "" if bad is None else f"slice pair k=0, m={bad} at coordinate {r}"
+    cases = [CaseResult("differences drop to [lo-1, hi-1]", bad is None, detail)]
 
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    ok = _in_window(total, lo, hi)
+    ok = _in_window(list(map(sum, zip(*parts))), n, q, lo, hi)
     cases.append(
         CaseResult("slice sum stays in [lo, hi]", ok, "" if ok else f"coordinate {r}")
     )
 
-    ok, detail = True, ""
-    for k in range(f.q):
-        if not _in_window(parts[k], lo - 1, hi):
-            ok, detail = False, f"slice k={k} at coordinate {r}"
-            break
-    cases.append(CaseResult("each slice lands in [lo-1, hi]", ok, detail))
+    bad = next((k for k, p in enumerate(parts) if not _in_window(p, n, q, lo - 1, hi)), None)
+    detail = "" if bad is None else f"slice k={bad} at coordinate {r}"
+    cases.append(CaseResult("each slice lands in [lo-1, hi]", bad is None, detail))
 
     return ReductionReport(True, tuple(cases))
 
@@ -177,11 +167,11 @@ def check_lemma_vanishing_slices(
     validate_range(f.n, lo, hi)
     if not 0 <= m < f.q:
         raise ValueError(f"symbol {m} out of range for q = {f.q}")
-    parts = slices(f, r)
-    nonzero = tuple(k for k, p in enumerate(parts) if not p.is_zero())
+    parts = slice_lists(f.nums, f.n, f.q, r)
+    nonzero = tuple(k for k, p in enumerate(parts) if any(p))
     if not in_direct_sum(f, lo, hi) or any(k != m for k in nonzero):
         return VanishingSliceReport(False, nonzero, False)
-    return VanishingSliceReport(True, nonzero, _in_window(parts[m], lo, hi - 1))
+    return VanishingSliceReport(True, nonzero, _in_window(parts[m], f.n - 1, f.q, lo, hi - 1))
 
 
 @dataclass(frozen=True)
@@ -197,7 +187,7 @@ class SliceBoundReport:
 
 def support_lower_bound_inequality(f: GridFunction, r: int) -> SliceBoundReport:
     """Support bound from equal leading slices; needs slices 0..q-2 equal."""
-    parts = [slice_numerators(f.nums, f.n, f.q, r, k) for k in range(f.q)]
+    parts = slice_lists(f.nums, f.n, f.q, r)
     q = f.q
     equal = all(parts[k] == parts[0] for k in range(q - 1))
     differs = sum(map(ne, parts[q - 2], parts[q - 1]))

@@ -116,6 +116,17 @@ class TestGen:
         code, _, stderr = run(capsys, "gen", "--family", "f1", "--n", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value, text", [
+        ("--max-subsets", "5", "inconclusive: minimum in [6, ?] after 5 rank tests\n"),
+        ("--max-support", "3", "inconclusive: minimum in [4, ?] after 0 rank tests\n"),
+    ])
+    def test_inconclusive_text(self, capsys, flag, value, text):
+        code, stdout, _ = run(
+            capsys, "minsupport", "--n", "3", "--q", "3", "--lo", "2", "--hi", "2", flag, value
+        )
+        assert code == 2
+        assert stdout == text
+
     def test_oversized_shape_rejected(self, capsys):
         # each is refused before anything of size q^n is built
         for argv in (
@@ -257,6 +268,32 @@ class TestReduce:
         assert data["vanishing_slices"]["precondition"] is True
         assert data["vanishing_slices"]["conclusion"] is True
         assert data["vanishing_slices"]["nonzero_slices"] == [2]
+
+    @pytest.mark.parametrize("family, bounds, expected, profiles", [
+        ("sum", ["--lo", "0", "--hi", "3"], [0, 3], 0),
+        ("sum", ["--lo", "0"], [0, 2], 1),
+        ("sum", ["--hi", "3"], [1, 3], 1),
+        ("sum", [], [1, 2], 1),
+        ("zero", [], [0, 0], 1),
+    ])
+    def test_range_from_profile_only_when_a_bound_is_missing(
+        self, tmp_path, capsys, monkeypatch, family, bounds, expected, profiles
+    ):
+        from hammingsupport import build_F2
+
+        # profile (1, 2): an F1 member of U_1 plus an F2 member of U_2
+        f = build_F1(3, 3, 1, 1) + build_F2(3, 3, 2, 2)
+        path = tmp_path / "f.hgf"
+        write_hgf(f if family == "sum" else GridFunction.zero(3, 3), path)
+        calls = []
+        profile = spectra_module.spectral_profile
+        monkeypatch.setattr(
+            spectra_module, "spectral_profile", lambda g: calls.append(g) or profile(g)
+        )
+        code, stdout, _ = run(capsys, "reduce", str(path), "--coord", "2", "--json", *bounds)
+        assert code == 0
+        assert json.loads(stdout)["range"] == expected
+        assert len(calls) == profiles
 
     def test_coordinate_is_one_based(self, tmp_path, capsys):
         path = tmp_path / "f.hgf"

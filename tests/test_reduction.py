@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import hammingsupport.reduction as reduction
 from hammingsupport import (
     GridFunction,
     a1,
@@ -15,11 +16,13 @@ from hammingsupport import (
     counterexample_g,
     counterexample_v,
     elementary,
+    in_direct_sum,
     is_uniform,
     restrict,
     slices,
     support_lower_bound_inequality,
 )
+from hammingsupport.reduction import slice_lists
 
 from conftest import (
     fraction_restrict,
@@ -76,6 +79,23 @@ class TestSlicePartition:
                 assert sum(p.support_size() for p in parts) == f.support_size()
 
 
+class TestSliceLists:
+    def test_against_fraction_slices(self, rng):
+        for n, q in ((1, 3), (2, 3), (3, 2), (3, 4)):
+            f = random_values(n, q, rng)
+            values = list(f.values)
+            for r in range(n):
+                parts = slice_lists(f.nums, n, q, r)
+                assert [[Fraction(v, f.den) for v in p] for p in parts] == [
+                    fraction_restrict(values, n, q, r, k) for k in range(q)
+                ]
+
+    def test_coordinate_out_of_range(self):
+        for n, r in ((2, -1), (2, 2), (0, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                slice_lists([0] * 3**n, n, 3, r)
+
+
 class TestUniform:
     def test_constant(self):
         rep = is_uniform(GridFunction.constant(2, 4, 3))
@@ -126,8 +146,6 @@ class TestLemmaReduction:
         report = check_lemma_reduction(f, 1, 1, 0)
         assert report.precondition_ok and report.passed
         parts = slices(f, 0)
-        from hammingsupport import in_direct_sum
-
         assert in_direct_sum(parts[0] - parts[1], 0, 0)
 
     def test_constant_trivial(self):
@@ -161,6 +179,55 @@ class TestLemmaReduction:
             check_lemma_reduction(GridFunction.zero(1, 3), 0, 0, 0)
         with pytest.raises(ValueError):
             check_lemma_reduction(GridFunction.zero(2, 3), 1, 0, 0)
+
+
+    @staticmethod
+    def first_failing_pair(f, lo, hi, r):
+        """detail naming the first pair k < m whose difference leaves U_[lo,hi](n-1)."""
+        parts, lo, hi = slices(f, r), max(lo, 0), min(hi, f.n - 1)
+        for k in range(f.q):
+            for m in range(k + 1, f.q):
+                d = parts[k] - parts[m]
+                if not (in_direct_sum(d, lo, hi) if lo <= hi else d.is_zero()):
+                    return f"slice pair k={k}, m={m} at coordinate {r}"
+        return ""
+
+    def test_first_failing_pair_under_a_narrower_window(self, monkeypatch, rng):
+        # U_[lo-1, hi-2] is still a subspace, so the differences against
+        # slice 0 still decide every pair once the window is narrowed to it
+        window = reduction._in_window
+
+        def narrowed(g, n, q, a, b):
+            # lo and hi are the loop variables below
+            return window(g, n, q, a, b - 1 if (a, b) == (lo - 1, hi - 1) else b)
+
+        monkeypatch.setattr(reduction, "_in_window", narrowed)
+        cases = []
+        for q in (3, 4):
+            # slices 0 and 1 agree at the last coordinate, slice 2 does not
+            v = GridFunction(1, q, [1, 1, -2] + [0] * (q - 3))
+            cases.append((random_member(2, q, 1, 1, rng).tensor(v), 2, 2))
+            cases.append((random_member(3, q, 1, 2, rng), 1, 2))
+            cases.append((random_member(3, q, 1, 1, rng), 1, 2))
+            cases.append((random_member(3, q, 0, 3, rng), 0, 3))
+        seen = set()
+        for f, lo, hi in cases:
+            for r in range(f.n):
+                detail = check_lemma_reduction(f, lo, hi, r).cases[0].detail
+                assert detail == self.first_failing_pair(f, lo - 1, hi - 2, r)
+                seen.add(detail.split(" at ")[0])
+        assert {"", "slice pair k=0, m=1", "slice pair k=0, m=2"} <= seen
+
+    def test_one_window_test_per_difference(self, monkeypatch, rng):
+        calls = []
+        window = reduction._in_window
+        monkeypatch.setattr(reduction, "_in_window", lambda *a: calls.append(a) or window(*a))
+        for q in (2, 3, 5):
+            calls.clear()
+            f = random_member(3, q, 1, 2, rng)
+            assert check_lemma_reduction(f, 1, 2, 1).passed
+            # q - 1 differences, the slice sum, and the q slices
+            assert len(calls) == (q - 1) + 1 + q
 
 
 class TestVanishingSlices:

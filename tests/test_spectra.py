@@ -206,6 +206,11 @@ class TestDimensions:
         assert eigenspace_dimension(2, 3, 0) == 1
         assert eigenspace_dimension(2, 3, 1) == 4
 
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match="out of range"):
+            eigenspace_dimension(2, 3, i)
+
     def test_e1_trace_computed(self):
         # trace of E_1 on H(2,3) summed from explicit kernel diagonal values
         n, q = 2, 3
