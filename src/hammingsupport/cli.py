@@ -36,10 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
-def _fmt(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -327,7 +323,7 @@ def _cmd_characterize(args) -> int:
                 "family": fact.certificate.family,
                 "sigma": list(fact.certificate.sigma),
                 "factors": [str(x) for x in fact.certificate.factors],
-                "c": _fmt(fact.certificate.c),
+                "c": str(fact.certificate.c),
             }
         print(
             json.dumps(
@@ -347,7 +343,7 @@ def _cmd_characterize(args) -> int:
           f"({verdict.bound.regime.value}); {verdict.bound.note}")
     if fact.certificate is not None:
         cert = fact.certificate
-        print(f"certificate: family {cert.family}, c = {_fmt(cert.c)}")
+        print(f"certificate: family {cert.family}, c = {cert.c}")
         print(f"  sigma = {_cycles_one_based(cert.sigma)}")
         print("  factors:", " ".join(str(x) for x in cert.factors))
     elif fact.reason:

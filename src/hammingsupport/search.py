@@ -94,7 +94,9 @@ sorted g(S) < S as well.  Hence the lexicographically least member of every
 orbit is reached together with all its prefixes, and since automorphisms
 preserve the subspace, pruning never changes any decision, only the node
 count.  The same holds for any subset of the stabilizer, which only prunes
-less, so the map count is capped.
+less: the table holds involutions only, the transpositions of the
+stabilizer and the products of commuting pairs of them, cut at a fixed
+number of map entries (`_pruning_maps`).
 
 Canonicity is decided in one pass per node, not once per child.  Let P be
 the orbit-minimal prefix at a node, T = sorted g(P) >= P, and x > P[-1] a
@@ -194,7 +196,7 @@ import enum
 from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import compress, filterfalse, islice, permutations, repeat
+from itertools import chain, combinations, compress, filterfalse, islice, repeat
 from math import gcd, inf, isqrt
 from operator import floordiv, itemgetter, le, mod, mul, sub
 from typing import Optional
@@ -202,10 +204,8 @@ from typing import Optional
 from .core import MAX_VERTICES, GridFunction, validate_shape, word_map
 from . import spectra
 
-# Pruning tables hold at most this many maps, and at most MAX_MAP_ENTRIES
-# map entries in all; a larger stabilizer contributes the first maps of a
-# fixed walk of the group, which is sound and only prunes less.
-MAX_STABILIZER = 20_000
+# Pruning tables hold at most MAX_MAP_ENTRIES map entries in all; a larger
+# table is cut, which is sound and only prunes less.
 MAX_MAP_ENTRIES = 2**20
 
 # Rank tests start modulo this prime (2^30 - 35); zeros are confirmed over Q,
@@ -277,49 +277,43 @@ def _complement_kernel(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
     return tuple((q**n if d == 0 else 0) - inside[d] for d in range(n + 1))
 
 
-def _symbol_choices(n: int, q: int):
-    """product(symbol permutations fixing 0, repeat=n), in its order, generated lazily.
-
-    product() would materialize its inputs: (q-1)! tuples, 4*10^7 at q = 12.
-    """
-    if n == 0:
-        yield ()
-        return
-    for rest in permutations(range(1, q)):
-        head = ((0,) + rest,)
-        for tail in _symbol_choices(n - 1, q):
-            yield head + tail
-
-
-@lru_cache(maxsize=8)
-def _pruning_maps(n: int, q: int) -> tuple[tuple[array, array], ...]:
-    """Vertex permutations fixing the zero word, as (map, inverse) pairs.
+def _pruning_maps(n: int, q: int) -> tuple[array, ...]:
+    """Involutions of the vertices that fix the zero word, as index arrays.
 
     The stabilizer of the zero word is the group of maps (tau, sigma): a
     coordinate permutation tau with one symbol permutation sigma_j fixing 0
-    per coordinate, which send word x to the word whose coordinate j is
-    sigma_j(x[tau(j)]) (`core.word_map`).  It is walked lazily with tau
-    outermost, both in lexicographic order, and the first
-    min(MAX_STABILIZER, MAX_MAP_ENTRIES // q^n) elements after the identity
-    are kept: the whole group when it is that small, a subset otherwise,
-    which is sound and only prunes less.  The map count bounds the loops
-    over maps that each search node runs; the entry count bounds memory,
-    since each map and inverse is an array of q^n indices, of one byte each
-    up to 256 vertices and two bytes above.
+    per coordinate (`core.word_map`).  The table holds its transpositions,
+    generated lazily: the C(n,2) coordinate transpositions, then, per
+    coordinate, the C(q-1,2) swaps of two nonzero symbols.  After them come
+    the products g h of the pairs of those that commute, in `combinations`
+    order; each is again an involution, and none is the identity or a map
+    listed before it.  The list is cut at MAX_MAP_ENTRIES // q^n maps, which
+    is sound and only prunes less.  That bounds memory, since each map is an
+    array of q^n indices, of one byte each up to 256 vertices and two bytes
+    above, and the loops over maps that each search node runs.
     """
     size = q**n
-    cap = min(MAX_STABILIZER, MAX_MAP_ENTRIES // size)
+    cap = MAX_MAP_ENTRIES // size
     typecode = "B" if size <= 256 else "H"  # q^n <= MAX_VERTICES = 2^16
-    group = ((tau, sigma) for tau in permutations(range(n)) for sigma in _symbol_choices(n, q))
-    maps: list[tuple[array, array]] = []
-    # the group acts faithfully on words, so only its first element is the identity
-    for tau, sigma in islice(group, 1, cap + 1):
-        mapping = array(typecode, word_map(n, q, tau, sigma))
-        inverse = array(typecode, mapping)
-        for x, y in enumerate(mapping):
-            inverse[y] = x
-        maps.append((mapping, inverse))
-    return tuple(maps)
+    identity = range(q)
+
+    def transpositions():
+        for a, b in combinations(range(n), 2):
+            tau = list(range(n))
+            tau[a], tau[b] = b, a
+            yield word_map(n, q, tau)
+        for j in range(n):
+            for a, b in combinations(range(1, q), 2):
+                swap = list(identity)
+                swap[a], swap[b] = b, a
+                yield word_map(n, q, range(n), [identity] * j + [swap] + [identity] * (n - 1 - j))
+
+    swaps = [array(typecode, g) for g in islice(transpositions(), cap)]
+    products = (
+        gh for g, h in combinations(swaps, 2)
+        if (gh := array(typecode, map(g.__getitem__, h))) == array(typecode, map(h.__getitem__, g))
+    )
+    return tuple(chain(swaps, islice(products, cap - len(swaps))))
 
 
 class _Canon:
@@ -327,16 +321,18 @@ class _Canon:
 
     `children` lists, in their given order, the candidates x passed to
     `child` for which prefix + [x] is orbit-minimal; `child` finds them in
-    one pass when it makes the node.  `fixers` holds the maps (g, ginv) that
-    fix the prefix setwise.  Every other map g has a first position r where
-    sorted g(prefix) exceeds the prefix; while its tie child
-    t = ginv[prefix[r]] lies ahead, it is kept as (g, ginv, r) in `ties[t]`,
-    and r and t stay put until the DFS takes t.  `thresholds` is the union
-    of {y : g(y) < prefix[r]} over every such map, here or at an ancestor.
-    Each of those vertices stays a non-minimal child all the way down, so
-    the set and the tie buckets are shared with descendants and never
-    mutated.  None of this depends on the candidates, so the children of a
-    node are the orbit-minimal ones among whatever candidates it is given.
+    one pass when it makes the node.  Every map is an involution, its own
+    inverse (`_pruning_maps`), and the node reads g^-1 off g itself.
+    `fixers` holds the maps g that fix the prefix setwise.  Every other map
+    g has a first position r where sorted g(prefix) exceeds the prefix;
+    while its tie child t = g[prefix[r]] lies ahead, it is kept as (g, r) in
+    `ties[t]`, and r and t stay put until the DFS takes t.  `thresholds` is
+    the union of {y : g(y) < prefix[r]} = g[:prefix[r]] over every such
+    map, here or at an ancestor.  Each of those vertices stays a
+    non-minimal child all the way down, so the set and the tie buckets are
+    shared with descendants and never mutated.  None of this depends on the
+    candidates, so the children of a node are the orbit-minimal ones among
+    whatever candidates it is given.
     """
 
     __slots__ = ("prefix", "fixers", "children", "ties", "thresholds")
@@ -357,31 +353,29 @@ class _Canon:
         prefix = self.prefix + [x]
         fixers = []
         moved = []  # maps whose r or tie child changes at this step
-        for pair in self.fixers:
-            g, ginv = pair
+        for g in self.fixers:
             if g[x] == x:
-                fixers.append(pair)
+                fixers.append(g)
             else:  # g(x) > x, since x is a child
-                moved.append((g, ginv, len(prefix) - 1))
+                moved.append((g, len(prefix) - 1))
         taken = self.ties.get(x)  # the maps whose tie child is x
         if taken:
             members = itemgetter(*prefix)  # prefix holds 0 and x, so members(g) is a tuple
-            for g, ginv, r in taken:
+            for g, r in taken:
                 image = sorted(members(g))
                 if image == prefix:
-                    fixers.append((g, ginv))
+                    fixers.append(g)
                     continue
                 while image[r] == prefix[r]:
                     r += 1
-                moved.append((g, ginv, r))
+                moved.append((g, r))
         new_ties: dict[int, list] = {}
         raised = set()  # the new thresholds
-        for entry in moved:
-            _, ginv, r = entry
-            raised.update(ginv[:prefix[r]])
-            tie = ginv[prefix[r]]
+        for g, r in moved:
+            raised.update(g[:prefix[r]])
+            tie = g[prefix[r]]
             if tie > x:
-                new_ties.setdefault(tie, []).append(entry)
+                new_ties.setdefault(tie, []).append((g, r))
         ties = {t: bucket for t, bucket in self.ties.items() if t > x}
         for tie, bucket in new_ties.items():
             ties[tie] = ties[tie] + bucket if tie in ties else bucket
@@ -389,7 +383,7 @@ class _Canon:
 
         # the pass: thresholds, then descents of the fixers, then the tie buckets
         children = list(filterfalse(thresholds.__contains__, candidates))
-        for g, _ in fixers:
+        for g in fixers:
             children = list(compress(children, map(le, children, map(g.__getitem__, children))))
         for t, bucket in ties.items():
             if t in children and _tie_smaller(prefix, bucket, t):
@@ -401,7 +395,7 @@ def _tie_smaller(prefix: list[int], bucket: list, z: int) -> bool:
     """Whether some map whose tie child is z sends prefix + [z] to a smaller set."""
     members = prefix + [z]
     image = itemgetter(*members)
-    for g, _, _ in bucket:
+    for g, _ in bucket:
         if sorted(image(g)) < members:
             return True
     return False

@@ -383,10 +383,10 @@ class TestMinsupport:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
     def test_large_symmetry_group_capped(self, capsys):
-        # q = 2, n = 10: 10! coordinate permutations, of which a capped subset is built
+        # q = 2, n = 16: the pruning table keeps 16 of the 120 coordinate transpositions
         start = time.perf_counter()
         code, _, _ = run(
-            capsys, "minsupport", "--n", "10", "--q", "2", "--lo", "1", "--hi", "1",
+            capsys, "minsupport", "--n", "16", "--q", "2", "--lo", "1", "--hi", "1",
             "--max-subsets", "10",
         )
         assert code == 2

@@ -2,8 +2,9 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from itertools import chain, combinations, product
-from math import factorial, inf
+from math import comb, inf
 from operator import mul
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from hammingsupport import (
     search,
 )
 from hammingsupport.claims import ClaimFailure, _verify_minimality
-from hammingsupport.core import ScaleError
+from hammingsupport.core import ScaleError, word_map
 
 from conftest import fraction_matrix_rank, is_orbit_minimal
 
@@ -190,7 +191,7 @@ class TestExists:
         # the fifth reference point of the README: U_[2,2](3,4) has nothing
         # of support <= 8, while the minimum (12) is out of reach here
         outcome = exists_with_support_at_most(3, 4, 2, 2, 8)
-        assert (outcome.status, outcome.subsets_examined) == (SearchStatus.EXHAUSTED, 2265)
+        assert (outcome.status, outcome.subsets_examined) == (SearchStatus.EXHAUSTED, 2594)
 
     def test_scale_guard(self):
         with pytest.raises(ScaleError):
@@ -220,10 +221,11 @@ class TestFindMinimum:
         assert report.minimum is None
         assert report.lower >= 1 and report.upper is None
 
-    def test_capped_q6_table_concludes(self):
-        # (2, 6) has 28800 maps fixing the zero word, above the cap of 20000
-        report = find_minimum(2, 6, 1, 1, SearchBudget(max_subsets=5000))
-        assert report.conclusive and report.minimum == 10
+    def test_q7_minimum_within_budget(self):
+        # U_[1,1](2,7): slice_lower is 10, and the involution table (346 maps)
+        # closes support 10 and 11 and finds the minimum 12 in 9949 tests
+        report = find_minimum(2, 7, 1, 1, SearchBudget(max_subsets=20000))
+        assert report.conclusive and report.minimum == 12
         assert in_direct_sum(report.witness, 1, 1)
 
     def test_ceiling(self):
@@ -400,8 +402,8 @@ class TestSliceDeficits:
 
     @pytest.mark.parametrize(
         "n, q, lo, hi, minimum, tests",
-        [(3, 3, 0, 1, 9, 9), (2, 5, 1, 1, 8, 212), (3, 3, 2, 2, 6, 200), (2, 3, 1, 1, 4, 11),
-         (2, 4, 1, 1, 6, 44), (3, 4, 1, 2, 6, 104), (5, 2, 1, 2, 8, 19), (6, 2, 2, 4, 4, 23),
+        [(3, 3, 0, 1, 9, 9), (2, 5, 1, 1, 8, 216), (3, 3, 2, 2, 6, 208), (2, 3, 1, 1, 4, 11),
+         (2, 4, 1, 1, 6, 44), (3, 4, 1, 2, 6, 111), (5, 2, 1, 2, 8, 19), (6, 2, 2, 4, 4, 23),
          (6, 2, 1, 2, 16, 95)],
     )
     def test_reference_counts(self, n, q, lo, hi, minimum, tests):
@@ -450,7 +452,7 @@ class TestSliceDeficits:
 
 def walk_against_oracle(n, q, depth):
     """Each node's children down to `depth` elements, against the brute-force oracle."""
-    index_maps = [g for g, _ in search._pruning_maps(n, q)]
+    index_maps = search._pruning_maps(n, q)
     size = q**n
     checked = 0
 
@@ -487,37 +489,68 @@ class TestCanonicity:
     def test_agrees_with_brute_force_oracle(self, n, q, depth):
         walk_against_oracle(n, q, depth)
 
-    @pytest.mark.parametrize("n, q, depth", [(4, 2, 7), (2, 4, 5)])
-    def test_capped_table_agrees_with_brute_force_oracle(self, monkeypatch, n, q, depth):
-        # a capped table is a subset of the group, not a group: (4, 2) has 23
-        # maps besides the identity and (2, 4) has 71, and a cap of 9 keeps
-        # the first 9; at (2, 4) they permute symbols only
-        monkeypatch.setattr(search, "MAX_STABILIZER", 9)
-        search._pruning_maps.cache_clear()
+    @pytest.mark.parametrize("n, q, depth, kept", [(4, 2, 7, 4), (2, 4, 5, 10)])
+    def test_capped_table_agrees_with_brute_force_oracle(self, monkeypatch, n, q, depth, kept):
+        # a cut table is a subset of the group, not a group: (4, 2) has 6
+        # transpositions and 3 products, and keeps 4 transpositions; (2, 4)
+        # has 7 transpositions and 9 products, and keeps 3 of the products
+        monkeypatch.setattr(search, "MAX_MAP_ENTRIES", kept * q**n)
         search._pruning_root.cache_clear()
         try:
-            assert len(search._pruning_maps(n, q)) == 9
+            assert len(search._pruning_maps(n, q)) == kept
             walk_against_oracle(n, q, depth)
         finally:
-            search._pruning_maps.cache_clear()
+            search._pruning_root.cache_clear()
+
+    @pytest.mark.parametrize("n, q, depth", [(3, 3, 5), (4, 2, 7)])
+    def test_a_map_that_is_no_involution_breaks_the_walk(self, monkeypatch, n, q, depth):
+        # the nodes read g^-1 off g itself, so a coordinate 3-cycle, which is
+        # an automorphism fixing the zero word but not its own inverse, must
+        # give children the oracle disagrees with
+        cycle = array("B", word_map(n, q, [1, 2, 0] + list(range(3, n))))
+        assert any(cycle[cycle[x]] != x for x in range(q**n))
+        monkeypatch.setattr(search, "_pruning_maps", lambda n, q: (cycle,))
+        search._pruning_root.cache_clear()
+        try:
+            with pytest.raises(AssertionError):
+                walk_against_oracle(n, q, depth)
+        finally:
             search._pruning_root.cache_clear()
 
     @pytest.mark.parametrize(
         "n, q", [(2, 3), (3, 3), (2, 5), (3, 4), (4, 2), (7, 3), (2, 6), (1, 9), (3, 5)]
     )
     def test_maps_are_automorphisms_fixing_zero(self, n, q):
-        # the whole group but the identity, n! (q-1)!^n - 1 maps, up to the cap
+        # the transpositions of the stabilizer, coordinates first, then
+        # symbols per coordinate, followed by the products of commuting
+        # pairs of them, counted here in closed form, up to the cut
         size = q**n
         maps = search._pruning_maps(n, q)
-        order = factorial(n) * factorial(q - 1) ** n
-        cap = min(search.MAX_STABILIZER, search.MAX_MAP_ENTRIES // size)
-        assert len(maps) == min(order - 1, cap)
-        assert len({tuple(g) for g, _ in maps} | {tuple(range(size))}) == len(maps) + 1
         words = [index_to_word(t, n, q) for t in range(size)]
+        index = {w: t for t, w in enumerate(words)}
+        expected = []
+        for a, b in combinations(range(n), 2):
+            swap = {a: b, b: a}
+            expected.append([index[tuple(w[swap.get(j, j)] for j in range(n))] for w in words])
+        for j in range(n):
+            for a, b in combinations(range(1, q), 2):
+                swap = {a: b, b: a}
+                expected.append([index[w[:j] + (swap.get(w[j], w[j]),) + w[j + 1:]] for w in words])
+        coordinates, symbols = comb(n, 2), comb(q - 1, 2)
+        assert len(expected) == coordinates + n * symbols
+        commuting = (
+            coordinates * comb(max(n - 2, 0), 2) // 2  # disjoint coordinate transpositions
+            + coordinates * (n - 2) * symbols  # a symbol swap off a coordinate transposition
+            + coordinates * symbols**2  # symbol swaps at two coordinates
+            + n * symbols * comb(max(q - 3, 0), 2) // 2  # disjoint symbol swaps at one coordinate
+        )
+        cap = search.MAX_MAP_ENTRIES // size
+        assert len(maps) == min(len(expected) + commuting, cap)
+        assert [list(g) for g in maps[:len(expected)]] == expected[:cap]
+        assert len({tuple(g) for g in maps} | {tuple(range(size))}) == len(maps) + 1
         pairs = [(x, (x * 7 + 3) % size) for x in range(0, size, max(size // 40, 1))]
-        for g, ginv in maps:
-            assert g[0] == 0 and sorted(g) == list(range(size))
-            assert all(ginv[g[x]] == x for x in range(size))
+        for g in maps:
+            assert g[0] == 0 and all(g[g[x]] == x for x in range(size))
             for x, y in pairs:
                 assert hamming_distance(words[g[x]], words[g[y]]) == hamming_distance(
                     words[x], words[y]
@@ -534,14 +567,19 @@ class TestCanonicity:
                 assert distance == hamming_distance(words[x], words[y])
 
     def test_map_count_capped_for_large_groups(self):
-        # q = 2, n = 10 has 10! coordinate permutations; a subset is built
-        maps = search._pruning_maps(10, 2)
-        assert len(maps) == search.MAX_MAP_ENTRIES // 2**10
+        # (16, 2) has 120 coordinate transpositions, and the cut keeps the
+        # first 16; (2, 16) has 211 transpositions and more products than
+        # the 4096 maps the cut keeps
+        maps = search._pruning_maps(16, 2)
+        assert len(maps) == search.MAX_MAP_ENTRIES // 2**16 == 16
+        # coordinate 0 is the most significant: maps[0] swaps 0 and 1, maps[-1] 1 and 2
+        assert maps[0][2**14] == 2**15 and maps[-1][2**13] == 2**14 and maps[-1][2**15] == 2**15
+        assert len(search._pruning_maps(2, 16)) == search.MAX_MAP_ENTRIES // 16**2 == 4096
 
     def test_symbol_permutations_generated_lazily(self):
-        # (q-1)! symbol permutations are 4*10^7 tuples at q = 12, gigabytes
-        # if materialized; under a 1 GB address space each table is built up
-        # to its cap, n = 0 included
+        # the transpositions are generated one at a time: (1, 65536) has
+        # about 2*10^9 symbol swaps, terabytes if materialized; under a 1 GB
+        # address space each table is built up to its cut, n = 0 included
         script = (
             "import resource\n"
             "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
@@ -550,7 +588,6 @@ class TestCanonicity:
             "from hammingsupport import search\n"
             "for n, q in [(0, 12), (1, 12), (1, 65536), (2, 256)]:\n"
             "    print(len(search._pruning_maps(n, q)))\n"
-            "    search._pruning_maps.cache_clear()\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
@@ -559,7 +596,7 @@ class TestCanonicity:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr[-500:]
-        assert done.stdout.split() == ["0", str(search.MAX_STABILIZER), "16", "16"]
+        assert done.stdout.split() == ["0", "1045", "16", "16"]
 
 
 class TestChildrenPipeline:
@@ -598,7 +635,7 @@ class TestChildrenPipeline:
                 made.append(len(sizes) - sum(made))
         finally:
             search._pruning_root.cache_clear()
-        assert made == [86, 54, 150]
+        assert made == [89, 54, 152]
         assert 0 not in sizes
 
 
