@@ -55,28 +55,27 @@ def random_member(n, q, lo, hi, rng) -> GridFunction:
             return f
 
 
-def random_f1_factors(n, q, i, j, rng):
-    out = [cons.a1(rng.randrange(q), rng.randrange(q)) for _ in range(i)]
-    out += [cons.a3() for _ in range(n - i - j)]
-    out += [cons.a4(rng.randrange(q)) for _ in range(j - i)]
-    return out
-
-
-def random_f2_factors(n, q, i, j, rng):
-    out = [cons.a1(rng.randrange(q), rng.randrange(q)) for _ in range(n - j)]
-    for _ in range(i + j - n):
-        k = rng.randrange(q)
-        m = rng.randrange(q - 1)
-        out.append(cons.a2(k, m if m < k else m + 1))
-    out += [cons.a4(rng.randrange(q)) for _ in range(j - i)]
+def random_factors(n, q, i, j, rng):
+    """One random factor per kind of the F1 template when i + j <= n, else of F2, in order."""
+    out = []
+    for kind in cons.family_template("F1" if i + j <= n else "F2", n, i, j):
+        if kind == "a1":
+            out.append(cons.a1(rng.randrange(q), rng.randrange(q)))
+        elif kind == "a2":
+            k = rng.randrange(q)
+            m = rng.randrange(q - 1)
+            out.append(cons.a2(k, m if m < k else m + 1))
+        elif kind == "a3":
+            out.append(cons.a3())
+        else:
+            out.append(cons.a4(rng.randrange(q)))
     return out
 
 
 def random_family_instance(n, q, i, j, rng, c=1) -> GridFunction:
     """A random F1 product when i + j <= n, else a random F2 product."""
-    if i + j <= n:
-        return cons.build_F1(n, q, i, j, random_f1_factors(n, q, i, j, rng), c)
-    return cons.build_F2(n, q, i, j, random_f2_factors(n, q, i, j, rng), c)
+    build = cons.build_F1 if i + j <= n else cons.build_F2
+    return build(n, q, i, j, random_factors(n, q, i, j, rng), c)
 
 
 # -- the claims ----------------------------------------------------------------

@@ -67,11 +67,6 @@ class ElementaryFactor:
         if self.kind == "a2" and self.params[0] == self.params[1]:
             raise ValueError("a2 requires k != m")
 
-    @property
-    def span(self) -> int:
-        """Number of coordinates the factor occupies."""
-        return 2 if self.kind == "a1" else 1
-
     def validate_for(self, q: int) -> None:
         validate_alphabet(q)
         for p in self.params:

@@ -81,10 +81,10 @@ rank-test counts and witnesses are those of an exact search, at any prime.
 Each path vertex keeps the two lists t_k and pivot_{k+1}, of q^n residues
 each (zero below y).  At most s - 2 vertices are pushed, and s - 1 while
 a last-level vertex is pushed for a zero, so with pivot_0 that is at
-most (2s - 1) q^n residues in all, plus the upper triangle of one
-(k+1)-square minor, k < s, kept from the last exact check, and the lists
-gathered at the last level: at most (s - 2) q^n more references to those
-residues.
+most (2s - 1) q^n residues in all, plus the lists gathered at the last
+level: at most (s - 2) q^n more references to those residues.  An exact
+check holds the upper triangle of one (k+1)-square minor, k < s, while it
+runs.
 
 Orbit pruning skips sets that some automorphism g fixing the zero word maps
 to a lexicographically smaller set.  Minimality under one map g is
@@ -122,11 +122,10 @@ Nothing a node keeps but its children depends on its candidates, so
 canonicity runs last.  The children of a vertex x are the vertices after
 x, then those the slice deficits (below) allow, then the orbit-minimal
 ones among those; a node is made only when the filter leaves something,
-and a vertex with no children is never pushed.  The root [0] is made once
-per (n, q) for every vertex, and serves every search on it
-(`_pruning_root`); each search filters its children.  No other node is
-kept.  With pruning off no node is built and the children are plain
-ranges.
+and a vertex with no children is never pushed.  Every node, the root [0]
+included, is made within its search, as a child of the empty node that
+holds every map; only the map table is kept per (n, q).  With pruning off
+no node is built and the children are plain ranges.
 
 Slice deficits prune with the orbits.  Let f be a nonzero member of
 U_[lo,hi](n,q), fix a coordinate, and let f_a be the slice with that
@@ -163,8 +162,8 @@ sum over them of max(0, m1 - c_a); with one occupied slice of c points,
 at least min(max(0, m0 - c), max(0, m1 - c) + m1), the second only at
 q >= 3.  When the lesser of the two cases exceeds s - |S| at some
 coordinate, no support of size <= s contains S, and S is dropped before
-its rank test: the root's children, and the children of every other
-vertex, before canonicity looks at them.  The zero word alone has deficit
+its rank test: the children of every vertex, the root included, before
+canonicity looks at them.  The zero word alone has deficit
 `slice_lower` - 1 at every coordinate, so it is ruled out exactly when
 s < `slice_lower`; the search then returns at once, and under pruning
 `find_minimum` starts at s = `slice_lower`.  If
@@ -185,9 +184,9 @@ read by index arithmetic, on the coordinates that rule a symbol out only.
 reference.
 
 The depth-first search keeps an explicit stack of (node, remaining
-children) frames, the first holding the zero word alone, so the depth of
-a path is not bounded by Python's recursion limit.  Budgets count rank
-tests, not wall time, so runs are reproducible.
+children) frames, the first holding the empty node and the zero word
+alone, so the depth of a path is not bounded by Python's recursion limit.
+Budgets count rank tests, not wall time, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -272,11 +271,11 @@ def _word_codes(n: int, q: int) -> tuple[tuple[int, ...], int, int]:
 
 @lru_cache(maxsize=None)
 def _complement_kernel(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
-    table = spectra.krawtchouk_table(n, q)
-    inside = [sum(table[t][d] for t in range(lo, hi + 1)) for d in range(n + 1)]
+    inside = [sum(spectra.krawtchouk(n, q, t, d) for t in range(lo, hi + 1)) for d in range(n + 1)]
     return tuple((q**n if d == 0 else 0) - inside[d] for d in range(n + 1))
 
 
+@lru_cache(maxsize=8)
 def _pruning_maps(n: int, q: int) -> tuple[array, ...]:
     """Involutions of the vertices that fix the zero word, as index arrays.
 
@@ -401,12 +400,6 @@ def _tie_smaller(prefix: list[int], bucket: list, z: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=8)
-def _pruning_root(n: int, q: int) -> _Canon:
-    """The node [0]: every map fixes the zero word."""
-    return _Canon([], list(_pruning_maps(n, q)), [], {}, frozenset()).child(0, range(1, q**n))
-
-
 def _slice_minima(n: int, q: int, lo: int, hi: int) -> tuple:
     """(m3, m1, m0): `slice_lower` of U_[lo-1,hi], U_[lo-1,hi-1] and U_[lo,hi-1] at n - 1."""
     return (slice_lower(n - 1, q, lo - 1, hi), slice_lower(n - 1, q, lo - 1, hi - 1),
@@ -518,14 +511,12 @@ class _GramPath:
     entries [t_0(z), ..., t_{k-1}(z)].  They depend on those k vertices and
     the prime only, so a push and pop above them leave them valid; `pop`
     drops them when it removes one of the k, and `_start` whenever it begins
-    a path.  `eliminated` holds the vertex and the rows of the last exact
-    check, for `kernel`.
+    a path.
     """
 
     def __init__(self, n: int, q: int, kappa: tuple[int, ...], prime: int):
         self.codes, self.low, self.guard = _word_codes(n, q)
         self.kappa = kappa
-        self.eliminated: tuple[int, list[list[int]]] = (-1, [])
         self._start(prime)
 
     def _start(self, prime: int) -> None:
@@ -542,17 +533,20 @@ class _GramPath:
         row = map(mul, [col[z] for col in self.cols], self.inverses)
         return list(map(mod, row, repeat(self.prime)))
 
-    def test(self, x: int) -> bool:
-        """Whether S + [x] is independent over Q, for x > S[-1].
+    def dependency(self, x: int) -> Optional[list[int]]:
+        """None when S + [x] is independent over Q, for x > S[-1], else its kernel vector.
 
-        A pivot that is nonzero mod p proves it.  A zero one is checked over
-        Q; after a false alarm the path is factored again at the next prime
-        at which every path pivot and x's pivot are nonzero.
+        A pivot that is nonzero mod p proves independence.  A zero one is
+        checked over Q: a true zero gives the primitive kernel vector of
+        M[:,S+x] (`_kernel`), and after a false alarm the path is factored
+        again at the next prime at which every path pivot and x's pivot are
+        nonzero.
         """
         if self.pivots[-1][x]:
-            return True
-        if not self._exact_pivot(x):
-            return False
+            return None
+        rows = self._exact_rows(x)
+        if not rows[-1][0]:
+            return _kernel(rows)
         path = self.vertices  # _start begins a new list
         while True:
             self._start(_next_prime(self.prime))
@@ -562,17 +556,18 @@ class _GramPath:
                 self.push(v)
             else:
                 if self.pivots[-1][x]:
-                    return True
+                    return None
 
-    def _exact_pivot(self, x: int) -> int:
-        """A nonzero multiple of x's pivot over Q, or 0, by elimination of M[S+x,S+x].
+    def _exact_rows(self, x: int) -> list[list[int]]:
+        """The rows of M[S+x,S+x] after elimination; the last one is [x's pivot, up to a factor].
 
         Symmetric Gaussian elimination with no row exchanges: every leading
         minor det M[S_i,S_i] is nonzero, because every path vertex had a
         nonzero pivot.  Row i is kept on columns i..k only, as integer
         numerators over one reduced denominator.  The entry of a later row j
         in column i, which its multiplier needs, is by symmetry entry j of
-        row i.  The last row's one entry is x's pivot.
+        row i.  The last row's one entry is a nonzero multiple of x's pivot
+        over Q, or 0.
         """
         codes, low, guard, kappa = self.codes, self.low, self.guard, self.kappa
         words = [codes[v] for v in self.vertices + [x]]
@@ -593,18 +588,18 @@ class _GramPath:
                 g = gcd(den, *nums)
                 rows[j] = [v // g for v in nums]
                 dens[j] = den // g
-        self.eliminated = (x, rows)
-        return rows[-1][0]
+        return rows
 
     def pivots_after(self, x: int, zs) -> list[int]:
         """Pivot of each z in zs against S + [x], for x > S[-1] independent of S, without a push.
 
         The same t(z) and pivot_{k+1}(z) that push(x) writes, so a pivot here
-        is zero exactly when test(z) after push(x) reads zero.  The entries
-        t_i(z) of each vertex are gathered into `_gathered` the first time a
-        parent on this path reads them, and every later parent of the same
-        last level reads that list.  A vertex no parent reaches is never
-        gathered, so sparse children cost no pass over all q^n vertices.
+        is zero exactly when the one dependency(z) reads after push(x) is.
+        The entries t_i(z) of each vertex are gathered into `_gathered` the
+        first time a parent on this path reads them, and every later parent
+        of the same last level reads that list.  A vertex no parent reaches
+        is never gathered, so sparse children cost no pass over all q^n
+        vertices.
         """
         p, codes, low, guard, kappa = self.prime, self.codes, self.low, self.guard, self.kappa
         cols = self.cols
@@ -659,24 +654,22 @@ class _GramPath:
         if self._gathered is not None and len(self.cols) < self._gathered[0]:
             self._gathered = None
 
-    def kernel(self, x: int) -> list[int]:
-        """Primitive integer c with M[:,S] c[:-1] + c[-1] M[:,x] = 0.
 
-        For x whose test found an exact zero pivot: back-substitution with
-        c[-1] = -1 on the rows that test eliminated, each step scaled by its
-        pivot to stay integral.  The kernel of M[:,S+x] is one-dimensional,
-        so this is the vector any exact elimination finds.
-        """
-        checked, rows = self.eliminated
-        if checked != x or rows[-1][0]:
-            raise RuntimeError(f"vertex {x} has no exact zero pivot on this path")
-        c = [-1]
-        for row in reversed(rows[:-1]):
-            pivot = row[0]
-            c = [-sum(map(mul, row[1:], c))] + [v * pivot for v in c]
-            g = gcd(*c)
-            c = [v // g for v in c]
-        return c
+def _kernel(rows: list[list[int]]) -> list[int]:
+    """Primitive integer c with M[:,S] c[:-1] + c[-1] M[:,x] = 0, from the rows of `_exact_rows(x)`.
+
+    For rows whose last entry, x's pivot, is zero: back-substitution with
+    c[-1] = -1, each step scaled by its pivot to stay integral.  The kernel
+    of M[:,S+x] is one-dimensional, so this is the vector any exact
+    elimination finds.
+    """
+    c = [-1]
+    for row in reversed(rows[:-1]):
+        pivot = row[0]
+        c = [-sum(map(mul, row[1:], c))] + [v * pivot for v in c]
+        g = gcd(*c)
+        c = [v // g for v in c]
+    return c
 
 
 def _next_prime(p: int) -> int:
@@ -729,9 +722,6 @@ def exists_with_support_at_most(
 
     def expand(canon: Optional[_Canon], x: int):
         """The node of S + [x] and its children: the vertices after x, then slices, then orbits."""
-        if x == 0 and slices:  # the root and its orbit-minimal children are cached
-            canon = _pruning_root(n, q)
-            return canon, slices.allowed([0], canon.children)
         children = range(x + 1, size)
         if slices:
             children = slices.allowed(gram.vertices + [x], children)
@@ -742,14 +732,17 @@ def exists_with_support_at_most(
 
     def descend() -> Optional[tuple[list[int], list[int]]]:
         """Depth-first from the zero word, one (node, candidates) frame per depth."""
-        stack: list = [(None, iter([0]))]
+        # every map fixes the zero word, so the empty node holds them all
+        empty = _Canon([], list(_pruning_maps(n, q)), [], {}, frozenset()) if slices else None
+        stack: list = [(empty, iter([0]))]
         while stack:
             canon, candidates = stack[-1]
             depth = len(gram.vertices)
             for x in candidates:
                 charge(1)
-                if not gram.test(x):
-                    return gram.vertices + [x], gram.kernel(x)
+                coeff = gram.dependency(x)
+                if coeff is not None:
+                    return gram.vertices + [x], coeff
                 if depth + 1 == s:
                     continue
                 child, kids = expand(canon, x)

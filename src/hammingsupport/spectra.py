@@ -84,7 +84,6 @@ functions are pure.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from operator import add, mul, sub
 from typing import Sequence
@@ -114,14 +113,6 @@ def krawtchouk(n: int, q: int, i: int, d: int) -> int:
     return sum(
         (-1) ** j * (q - 1) ** (i - j) * comb(d, j) * comb(n - d, i - j)
         for j in range(i + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def krawtchouk_table(n: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """table[i][d] = K_i(d) for the (n,q) Hamming scheme."""
-    return tuple(
-        tuple(krawtchouk(n, q, i, d) for d in range(n + 1)) for i in range(n + 1)
     )
 
 

@@ -18,8 +18,7 @@ import pytest
 
 from hammingsupport import GridFunction, eigenvalue, neighbors
 from hammingsupport.claims import (  # noqa: F401  re-exported for the test modules
-    random_f1_factors,
-    random_f2_factors,
+    random_factors,
     random_family_instance,
     random_member,
     random_values,

@@ -23,7 +23,7 @@ from hammingsupport import (
     is_minimum_and_characterized,
 )
 
-from conftest import random_f1_factors, random_f2_factors
+from conftest import random_factors
 
 
 def shuffled(f, rng):
@@ -58,9 +58,9 @@ class TestRoundTrip:
             j = rng.randint(i, n)
             c = Fraction(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 2, 3)))
             if i + j <= n:
-                f = build_F1(n, q, i, j, random_f1_factors(n, q, i, j, rng), c)
+                f = build_F1(n, q, i, j, random_factors(n, q, i, j, rng), c)
             elif i == j:
-                f = build_F2(n, q, i, j, random_f2_factors(n, q, i, j, rng), c)
+                f = build_F2(n, q, i, j, random_factors(n, q, i, j, rng), c)
             else:
                 continue
             g = shuffled(f, rng)
@@ -205,6 +205,16 @@ class TestVerdicts:
         assert verdict.meets_bound
         assert verdict.factorization.status is FactorizeStatus.CERTIFIED
         assert "characterized" in verdict.summary
+
+    def test_certified_where_the_equality_case_is_open(self):
+        verdict = is_minimum_and_characterized(build_F2(3, 4, 2, 2), 2, 2)
+        assert verdict.support == 12 and verdict.meets_bound
+        assert verdict.bound.valid and not verdict.bound.characterized
+        assert verdict.factorization.status is FactorizeStatus.CERTIFIED
+        assert verdict.summary == (
+            "support equals the formula value 12; member of F2 "
+            "(equality case not characterized at q=4)"
+        )
 
     def test_h_minimum_not_in_family(self):
         verdict = is_minimum_and_characterized(counterexample_h(), 2, 2)

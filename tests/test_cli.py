@@ -295,6 +295,22 @@ class TestReduce:
         assert json.loads(stdout)["range"] == expected
         assert len(calls) == profiles
 
+    def test_text_report(self, tmp_path, capsys):
+        path = tmp_path / "h.hgf"
+        run(capsys, "gen", "--family", "counterexample-h", "-o", str(path))
+        capsys.readouterr()
+        code, stdout, _ = run(capsys, "reduce", str(path), "--coord", "1")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[0] == "slices at coordinate 1: supports [4, 2, 4, 2]"
+        assert lines[1] == "range [2,2] descent checks (precondition ok):"
+        assert lines[-1] == "slice inequality: not applicable (leading slices differ)"
+        code, stdout, _ = run(capsys, "reduce", str(path), "--coord", "1", "--symbol", "0")
+        assert code == 0
+        assert stdout.splitlines()[-1] == (
+            "vanishing-slices rule: precondition False, conclusion False"
+        )
+
     def test_coordinate_is_one_based(self, tmp_path, capsys):
         path = tmp_path / "f.hgf"
         path.write_text(dumps_hgf(GridFunction.constant(2, 3, 1)))
@@ -345,6 +361,13 @@ class TestMinsupport:
         data = json.loads(stdout)
         assert data["minimum"] == 4 and data["conclusive"]
         assert read_hgf(witness).support_size() == 4
+
+    def test_conclusive_text(self, capsys):
+        code, stdout, _ = run(
+            capsys, "minsupport", "--n", "2", "--q", "3", "--lo", "1", "--hi", "1"
+        )
+        assert code == 0
+        assert stdout.splitlines() == ["minimum support in U_[1,1](2,3): 4", "rank tests: 11"]
 
     def test_budget_exit_code_2(self, capsys):
         code, stdout, _ = run(

@@ -27,7 +27,7 @@ from hammingsupport import (
 )
 from hammingsupport.constructions import FactorizationCertificate, tensor_all
 
-from conftest import random_f1_factors, random_f2_factors
+from conftest import random_factors
 
 
 class TestElementary:
@@ -147,10 +147,10 @@ class TestBuilders:
                 for i in range(n + 1):
                     for j in range(i, n + 1):
                         if i + j <= n:
-                            f = build_F1(n, q, i, j, random_f1_factors(n, q, i, j, rng))
+                            f = build_F1(n, q, i, j, random_factors(n, q, i, j, rng))
                             assert f.support_size() == f1_support_size(n, q, i, j)
                         else:
-                            f = build_F2(n, q, i, j, random_f2_factors(n, q, i, j, rng))
+                            f = build_F2(n, q, i, j, random_factors(n, q, i, j, rng))
                             assert f.support_size() == f2_support_size(n, q, i, j)
                         assert in_direct_sum(f, i, j)
 

@@ -476,10 +476,9 @@ def walk_against_oracle(n, q, depth):
                     node.fixers, node.ties, node.thresholds), (prefix, x)
                 walk(node)
 
-    # twice: the cached root hands out the same children on the second walk
-    for _ in range(2):
-        walk(search._pruning_root(n, q))
-    assert checked > 2 * size
+    # the root [0] is a child of the empty node, as in a search
+    walk(search._Canon([], list(index_maps), [], {}, frozenset()).child(0, range(1, size)))
+    assert checked > size
 
 
 class TestCanonicity:
@@ -495,12 +494,12 @@ class TestCanonicity:
         # transpositions and 3 products, and keeps 4 transpositions; (2, 4)
         # has 7 transpositions and 9 products, and keeps 3 of the products
         monkeypatch.setattr(search, "MAX_MAP_ENTRIES", kept * q**n)
-        search._pruning_root.cache_clear()
+        search._pruning_maps.cache_clear()
         try:
             assert len(search._pruning_maps(n, q)) == kept
             walk_against_oracle(n, q, depth)
         finally:
-            search._pruning_root.cache_clear()
+            search._pruning_maps.cache_clear()
 
     @pytest.mark.parametrize("n, q, depth", [(3, 3, 5), (4, 2, 7)])
     def test_a_map_that_is_no_involution_breaks_the_walk(self, monkeypatch, n, q, depth):
@@ -510,12 +509,8 @@ class TestCanonicity:
         cycle = array("B", word_map(n, q, [1, 2, 0] + list(range(3, n))))
         assert any(cycle[cycle[x]] != x for x in range(q**n))
         monkeypatch.setattr(search, "_pruning_maps", lambda n, q: (cycle,))
-        search._pruning_root.cache_clear()
-        try:
-            with pytest.raises(AssertionError):
-                walk_against_oracle(n, q, depth)
-        finally:
-            search._pruning_root.cache_clear()
+        with pytest.raises(AssertionError):
+            walk_against_oracle(n, q, depth)
 
     @pytest.mark.parametrize(
         "n, q", [(2, 3), (3, 3), (2, 5), (3, 4), (4, 2), (7, 3), (2, 6), (1, 9), (3, 5)]
@@ -606,11 +601,7 @@ class TestChildrenPipeline:
         # the filter does not depend on the map table
         plain = exists_with_support_at_most(3, 3, 2, 2, 6, SearchBudget(symmetry_pruning=False))
         monkeypatch.setattr(search, "_pruning_maps", lambda n, q: ())
-        search._pruning_root.cache_clear()
-        try:
-            sliced = exists_with_support_at_most(3, 3, 2, 2, 6)
-        finally:
-            search._pruning_root.cache_clear()
+        sliced = exists_with_support_at_most(3, 3, 2, 2, 6)
         assert sliced.status is plain.status is SearchStatus.FOUND
         assert sliced.witness == plain.witness
         assert sliced.subsets_examined < plain.subsets_examined
@@ -618,7 +609,8 @@ class TestChildrenPipeline:
     def test_no_node_without_candidates(self, monkeypatch):
         # canonicity runs on what the slice deficits leave, and only when
         # something is left; with the filter after canonicity these searches
-        # made 174, 93 and 157 nodes, root included
+        # made 174, 93 and 157 nodes, root included.  Each search makes its
+        # own root, and (2, 5, 1, 1) searches at s = 5, 6, 7 and 8
         child = search._Canon.child
         sizes = []
 
@@ -628,14 +620,10 @@ class TestChildrenPipeline:
 
         monkeypatch.setattr(search._Canon, "child", spy)
         made = []
-        try:
-            for case in ((3, 3, 2, 2), (6, 2, 1, 2), (2, 5, 1, 1)):
-                search._pruning_root.cache_clear()
-                assert find_minimum(*case).conclusive
-                made.append(len(sizes) - sum(made))
-        finally:
-            search._pruning_root.cache_clear()
-        assert made == [89, 54, 152]
+        for case in ((3, 3, 2, 2), (6, 2, 1, 2), (2, 5, 1, 1)):
+            assert find_minimum(*case).conclusive
+            made.append(len(sizes) - sum(made))
+        assert made == [89, 54, 155]
         assert 0 not in sizes
 
 
@@ -660,7 +648,7 @@ class TestCachedPivots:
         support = [x for x, value in enumerate(witness.values) if value]
         rng = random.Random(size * prime)
         gram = search._GramPath(n, q, kappa, prime)
-        assert gram.test(0)
+        assert gram.dependency(0) is None
         gram.push(0)
         zeros = 0
         for _ in range(15):
@@ -670,14 +658,14 @@ class TestCachedPivots:
                 rows = list(zip(*(columns[x] for x in path + [z])))
                 dependent = fraction_matrix_rank(rows) < len(path) + 1
                 confirmed = not gram.pivots[-1][z]
-                assert (not gram.test(z)) == dependent, (path, z)
+                c = gram.dependency(z)
+                assert (c is not None) == dependent, (path, z)
                 if confirmed:
                     # the exact check leaves every path list in residues mod the prime
                     lists = gram.pivots + gram.cols + [gram.inverses]
                     assert all(type(v) is int and 0 <= v < gram.prime for v in chain(*lists))
                 if dependent:
                     zeros += 1
-                    c = gram.kernel(z)
                     assert all(sum(map(mul, c, row)) == 0 for row in rows)
                 else:
                     independent.append(z)
@@ -751,9 +739,10 @@ class TestExactCheck:
             for x in range(size):
                 rows = list(zip(*(columns[v] for v in gram.vertices + [x])))
                 dependent = fraction_matrix_rank(rows) <= len(gram.vertices)
-                assert (not gram._exact_pivot(x)) == dependent, (gram.vertices, x)
+                eliminated = gram._exact_rows(x)
+                assert (not eliminated[-1][0]) == dependent, (gram.vertices, x)
                 if dependent:
-                    c = gram.kernel(x)
+                    c = search._kernel(eliminated)
                     assert c[-1] and all(sum(map(mul, c, row)) == 0 for row in rows)
                     found += 1
                     if found == 3:
@@ -792,18 +781,19 @@ class TestModularRankTests:
     def test_tiny_prime_same_outcomes(self, monkeypatch, prime):
         expected = self.outcomes()
         checks, primes = [], []
-        exact_pivot, next_prime = search._GramPath._exact_pivot, search._next_prime
+        exact_rows, next_prime = search._GramPath._exact_rows, search._next_prime
 
         def spy_check(gram, x):
-            checks.append(exact_pivot(gram, x))
-            return checks[-1]
+            rows = exact_rows(gram, x)
+            checks.append(rows[-1][0])
+            return rows
 
         def spy_prime(p):
             primes.append(next_prime(p))
             return primes[-1]
 
         monkeypatch.setattr(search, "RANK_PRIME", prime)
-        monkeypatch.setattr(search._GramPath, "_exact_pivot", spy_check)
+        monkeypatch.setattr(search._GramPath, "_exact_rows", spy_check)
         monkeypatch.setattr(search, "_next_prime", spy_prime)
         assert self.outcomes() == expected
         # each witness needs one exact zero; a nonzero exact pivot is a false alarm
