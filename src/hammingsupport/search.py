@@ -44,20 +44,32 @@ a lookup of pivot_k(x).
 
 The last level is tested without a push.  With k = s - 2 vertices on the
 path, a candidate x that passes its test has children S + [x, z] of size s,
-which are tested and never extended.  Their pivots,
+which are tested and never extended.  Beside the pivots, the path keeps
+one more residue list per depth: phi_k(z), the Schur complement of z
+against the path in a fixed extra row G = w^T M = M w of M's row space
+(`_fingerprint`), updated by one more pass per push,
 
-    pivot_{k+1}(z) = pivot_k(z) - t^2 / d_x,  t = M[x,z] - sum over i < k of L[x][i] t_i(z),
+    phi_{k+1}(z) = phi_k(z) - phi_k(y) t_k(z) / d_k,   phi_0(z) = G(z).
 
-come from x's row of L and one inverse of x's pivot d_x, for the children
-that pruning allows only, all in one pass per parent x.  They are the
-residues push(x) would write, so each reads zero exactly when the lookup
-after a push would.  The entries t_i(z) are gathered into one list per
-vertex z, at most once per path and prime, and shared by every parent x
-of that level.  The tests before the first zero are counted in one step,
-which stops the count at the cap when the cap falls inside it.  From that
-zero on, x is pushed and its remaining children form an ordinary frame, so
-confirming the zero, any false alarm and the children after it run as at
-every other level.
+Let r(z) be the residual of the column M[:,z] after its orthogonal
+projection onto the columns of S.  Then phi_k(z) = w^T r(z), and
+pivot_k(z) = r(z)^T r(z) / q^n.  If S + [x, z] is dependent over Q while
+S + [x] is not, r(z) = lambda r(x) for a rational lambda (possibly 0), so
+phi(z) = lambda phi(x) and d_z = lambda^2 d_x, with d the pivot against S:
+
+    phi(z)^2 d_x = phi(x)^2 d_z.
+
+Both sides are rationals whose denominators divide a power of
+det M[S,S], the product of the path pivots, which are units mod p; so the
+identity holds mod p too.  A child with phi(z)^2 d_x != phi(x)^2 d_z mod p is therefore
+independent, and the check costs O(1) per child (`first_candidate`).  The
+tests before the first child that meets the congruence are counted in one
+step, which stops the count at the cap when the cap falls inside it.  From
+that child on, x is pushed and its remaining children form an ordinary
+frame, so confirming a dependency, any false alarm (an independent child
+that meets the congruence, or a pivot that is zero mod p) and the
+children after it run as at every other level.  So decisions, rank-test
+counts and witnesses are those of a search that pushes every parent.
 
 The factorization is kept modulo a prime p, at first RANK_PRIME < 2^30.  A
 pivot that is nonzero mod p proves det M[S+x,S+x] != 0 over Q (rank mod p
@@ -78,13 +90,12 @@ the leading minors det M[S_i,S_i] or det M[S+x,S+x] can make one of them
 vanish mod p.  The search then stays at that prime.  So decisions,
 rank-test counts and witnesses are those of an exact search, at any prime.
 
-Each path vertex keeps the two lists t_k and pivot_{k+1}, of q^n residues
-each (zero below y).  At most s - 2 vertices are pushed, and s - 1 while
-a last-level vertex is pushed for a zero, so with pivot_0 that is at
-most (2s - 1) q^n residues in all, plus the lists gathered at the last
-level: at most (s - 2) q^n more references to those residues.  An exact
-check holds the upper triangle of one (k+1)-square minor, k < s, while it
-runs.
+Each path vertex keeps the three lists t_k, pivot_{k+1} and phi_{k+1}, of
+q^n residues each (zero below y).  At most s - 2 vertices are pushed, and
+s - 1 while a last-level vertex is pushed for a candidate, so with pivot_0
+and phi_0 that is at most (3s - 1) q^n residues in all.  G itself is kept
+in integers, once per (n, q, lo, hi).  An exact check holds the upper
+triangle of one (k+1)-square minor, k < s, while it runs.
 
 Orbit pruning skips sets that some automorphism g fixing the zero word maps
 to a lexicographically smaller set.  Minimality under one map g is
@@ -197,7 +208,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, combinations, compress, filterfalse, islice, repeat
 from math import gcd, inf, isqrt
-from operator import floordiv, itemgetter, le, mod, mul, sub
+from operator import add, floordiv, itemgetter, le, mod, mul, sub
 from typing import Optional
 
 from .core import MAX_VERTICES, GridFunction, validate_shape, word_map
@@ -276,6 +287,56 @@ def _complement_kernel(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=8)
+def _fingerprint(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
+    """G = M w, for the fixed product w = w_0 (x) ... (x) w_{n-1}, w_j(a) = 31 (a+1)^3 + (j+1)^2 (a+1) + j.
+
+    M = q^n I - sum over t in [lo,hi] of q^n E_t, and q^n E_t is the sum,
+    over the sets T of t coordinates, of the tensor product of q I - J at
+    the coordinates in T and J at the others.  On w that gives
+    G(z) = sum over t outside [lo,hi] of c_t(z), where c_t(z) is the
+    coefficient of u^t in prod_j (A_j + u B_j(z_j)), A_j the sum of w_j and
+    B_j(a) = q w_j(a) - A_j.  G is a row of M's row space, so every column
+    dependency of M holds on G.  Each factor has distinct entries,
+    increasing in a, and no two factors are proportional, so no
+    automorphism but the identity fixes w.  Factors with
+    small entries collide more often in `_GramPath.first_candidate`: on the
+    plain q^n <= 64 grid (tests/grid.py) these give 121 candidates in 93340
+    last-level parents, 40 of them independent over Q, against 803
+    candidates for w_j(a) = (a + 1)(a + j + 2); a scaled copy of one factor
+    per coordinate gave tens of thousands.
+
+    The coefficients are built one coordinate at a time, in integers, for
+    the fewest degrees that give the sum: those below lo, plus those above
+    hi as the low coefficients of prod_j (B_j(z_j) + u A_j); or the ones in
+    [lo,hi], from the front or from the back, taken from their sum
+    prod_j q w_j(z_j) = q^n w(z).
+    """
+    size = q**n
+    weights = [[31 * (a + 1) ** 3 + (j + 1) ** 2 * (a + 1) + j for a in range(q)] for j in range(n)]
+    front = [([sum(w)] * q, [q * v - sum(w) for v in w]) for w in weights]
+    back = [(b, a) for a, b in front]
+
+    def graded(pairs, low: int, high: int) -> list[int]:
+        """Per vertex z, the coefficients of u^low .. u^(high-1) in prod_j (a_j(z_j) + u b_j(z_j)), summed."""
+        if high <= low:
+            return [0] * size
+        coefs = [[1]] + [[0]] * (high - 1)  # per degree, per vertex of the coordinates so far
+        for a, b in pairs:
+            ab = list(zip(a, b))
+            coefs = [[x * c + y * e for c, e in zip(cur, below) for x, y in ab]
+                     for cur, below in zip(coefs, [repeat(0)] + coefs[:-1])]
+        return list(map(sum, zip(*coefs[low:])))
+
+    sides, forward, backward = lo + n - hi, hi + 1, n - lo + 1
+    if sides <= min(forward, backward):
+        return tuple(map(add, graded(front, 0, lo), graded(back, 0, n - hi)))
+    total = graded([([q * v for v in w], [0] * q) for w in weights], 0, 1)
+    if forward <= backward:
+        return tuple(map(sub, total, graded(front, lo, hi + 1)))
+    return tuple(map(sub, total, graded(back, n - hi, n - lo + 1)))
+
+
+@lru_cache(maxsize=8)
 def _pruning_maps(n: int, q: int) -> tuple[array, ...]:
     """Involutions of the vertices that fix the zero word, as index arrays.
 
@@ -285,8 +346,9 @@ def _pruning_maps(n: int, q: int) -> tuple[array, ...]:
     generated lazily: the C(n,2) coordinate transpositions, then, per
     coordinate, the C(q-1,2) swaps of two nonzero symbols.  After them come
     the products g h of the pairs of those that commute, in `combinations`
-    order; each is again an involution, and none is the identity or a map
-    listed before it.  The list is cut at MAX_MAP_ENTRIES // q^n maps, which
+    order, each pair judged by what its two maps swap (`_commute`); each
+    product is again an involution, and none is the identity or a map listed
+    before it.  The list is cut at MAX_MAP_ENTRIES // q^n maps, which
     is sound and only prunes less.  That bounds memory, since each map is an
     array of q^n indices, of one byte each up to 256 vertices and two bytes
     above, and the loops over maps that each search node runs.
@@ -300,19 +362,40 @@ def _pruning_maps(n: int, q: int) -> tuple[array, ...]:
         for a, b in combinations(range(n), 2):
             tau = list(range(n))
             tau[a], tau[b] = b, a
-            yield word_map(n, q, tau)
+            yield (None, a, b), word_map(n, q, tau)
         for j in range(n):
             for a, b in combinations(range(1, q), 2):
                 swap = list(identity)
                 swap[a], swap[b] = b, a
-                yield word_map(n, q, range(n), [identity] * j + [swap] + [identity] * (n - 1 - j))
+                yield (j, a, b), word_map(n, q, range(n), [identity] * j + [swap] + [identity] * (n - 1 - j))
 
-    swaps = [array(typecode, g) for g in islice(transpositions(), cap)]
+    swaps = [(what, array(typecode, g)) for what, g in islice(transpositions(), cap)]
     products = (
-        gh for g, h in combinations(swaps, 2)
-        if (gh := array(typecode, map(g.__getitem__, h))) == array(typecode, map(h.__getitem__, g))
+        array(typecode, map(g.__getitem__, h))
+        for (u, g), (v, h) in combinations(swaps, 2) if _commute(u, v)
     )
-    return tuple(chain(swaps, islice(products, cap - len(swaps))))
+    return tuple(chain((g for _, g in swaps), islice(products, cap - len(swaps))))
+
+
+def _commute(u: tuple, v: tuple) -> bool:
+    """Whether two transpositions of `_pruning_maps` commute, read off what they swap.
+
+    (None, a, b) swaps coordinates a and b, and (j, a, b) the nonzero
+    symbols a and b at coordinate j.  The stabilizer of the zero word acts
+    faithfully on the words, so maps commute exactly when the group elements
+    do: two coordinate swaps when they are disjoint; a coordinate swap tau
+    and a symbol swap at j when tau fixes j, since tau moves the symbol swap
+    to coordinate tau(j); two symbol swaps when they sit at different
+    coordinates or are disjoint.
+    """
+    (j, a, b), (k, c, d) = u, v
+    if j is None and k is None:
+        return {a, b}.isdisjoint((c, d))
+    if j is None:
+        return k not in (a, b)
+    if k is None:
+        return j not in (c, d)
+    return j != k or {a, b}.isdisjoint((c, d))
 
 
 class _Canon:
@@ -504,19 +587,18 @@ class _GramPath:
     For the i-th path vertex v_i, cols[i][z] holds t_i(z), entry i of
     L^-1 M[S,z], and inverses[i] the reciprocal of its pivot d_i = t_i(v_i).
     pivots[k][z] is the Schur pivot of z against the first k path vertices, so
-    pivots[0][z] = M[z,z].  Both lists of depth i are indexed by vertex and
-    filled for z > v_i only; the entries up to v_i are zero padding.  Every
-    entry is a residue mod `prime`.  `_gathered` holds k and, for the
-    vertices z that `pivots_after` has read on a path of k vertices, the
-    entries [t_0(z), ..., t_{k-1}(z)].  They depend on those k vertices and
-    the prime only, so a push and pop above them leave them valid; `pop`
-    drops them when it removes one of the k, and `_start` whenever it begins
-    a path.
+    pivots[0][z] = M[z,z].  phis[k][z] is the Schur complement of z in the
+    extra row G (`_fingerprint`) against the same k vertices, so
+    phis[0][z] = G(z); it is the one number the last level reads besides the
+    pivots (`first_candidate`).  The lists of depth i are indexed by vertex
+    and filled for z > v_i only; the entries up to v_i are zero padding.
+    Every entry is a residue mod `prime`.
     """
 
-    def __init__(self, n: int, q: int, kappa: tuple[int, ...], prime: int):
+    def __init__(self, n: int, q: int, lo: int, hi: int, prime: int):
         self.codes, self.low, self.guard = _word_codes(n, q)
-        self.kappa = kappa
+        self.kappa = _complement_kernel(n, q, lo, hi)
+        self.fingerprint = _fingerprint(n, q, lo, hi)
         self._start(prime)
 
     def _start(self, prime: int) -> None:
@@ -526,7 +608,7 @@ class _GramPath:
         self.cols: list[list[int]] = []
         self.inverses: list[int] = []
         self.pivots: list[list[int]] = [[self.kappa[0] % prime] * len(self.codes)]
-        self._gathered: Optional[tuple[int, dict[int, list[int]]]] = None
+        self.phis: list[list[int]] = [[g % prime for g in self.fingerprint]]
 
     def _row(self, z: int) -> list[int]:
         """Row of L for z against the path: t_i(z) / d_i."""
@@ -590,38 +672,21 @@ class _GramPath:
                 dens[j] = den // g
         return rows
 
-    def pivots_after(self, x: int, zs) -> list[int]:
-        """Pivot of each z in zs against S + [x], for x > S[-1] independent of S, without a push.
+    def first_candidate(self, x: int, zs) -> int:
+        """The index of the first z in zs that S + [x, z] may depend on; len(zs) if none can.
 
-        The same t(z) and pivot_{k+1}(z) that push(x) writes, so a pivot here
-        is zero exactly when the one dependency(z) reads after push(x) is.
-        The entries t_i(z) of each vertex are gathered into `_gathered` the
-        first time a parent on this path reads them, and every later parent
-        of the same last level reads that list.  A vertex no parent reaches
-        is never gathered, so sparse children cost no pass over all q^n
-        vertices.
+        For x > S[-1] independent of S, and each z in zs after x.  A z with
+        phi(z)^2 d_x != phi(x)^2 d_z mod p, where d is the pivot and phi the
+        fingerprint against S, makes S + [x, z] independent over Q, so no
+        push is needed to rule it out; see the module docstring.
         """
-        p, codes, low, guard, kappa = self.prime, self.codes, self.low, self.guard, self.kappa
-        cols = self.cols
-        if self._gathered is None or self._gathered[0] != len(cols):
-            self._gathered = (len(cols), {})
-        gathered = self._gathered[1]
-        pivot = self.pivots[-1]
-        inverse = pow(pivot[x], -1, p)
-        entries = gathered.get(x)
-        if entries is None:
-            entries = gathered[x] = [col[x] for col in cols]
-        row = [t * d % p for t, d in zip(entries, self.inverses)]
-        word = codes[x]
-        out = []
-        for z in zs:
-            entries = gathered.get(z)
-            if entries is None:
-                entries = gathered[z] = [col[z] for col in cols]
-            t = kappa[(((word ^ codes[z]) + low) & guard).bit_count()]  # M[x, z]
-            t = (t - sum(map(mul, row, entries))) % p
-            out.append((pivot[z] - t * t * inverse) % p)
-        return out
+        p, phi, pivot = self.prime, self.phis[-1], self.pivots[-1]
+        d, f = pivot[x], phi[x] * phi[x] % p
+        for i, z in enumerate(zs):
+            g = phi[z]
+            if not (g * g * d - f * pivot[z]) % p:
+                return i
+        return len(zs)
 
     def push(self, y: int) -> None:
         """Append y, whose pivot is nonzero, and eliminate it from every z > y."""
@@ -637,22 +702,26 @@ class _GramPath:
             t = list(map(sub, t, map(mul, repeat(factor), col[ahead:])))
         t = list(map(mod, t, repeat(p)))
         schur = map(sub, self.pivots[-1][ahead:], map(mul, map(mul, t, t), repeat(inverse)))
+        phi = self.phis[-1]
+        fingerprint = map(sub, phi[ahead:], map(mul, t, repeat(phi[y] * inverse % p)))
         column = [0] * ahead
         column += t
         pivots = [0] * ahead
         pivots += map(mod, schur, repeat(p))
+        phis = [0] * ahead
+        phis += map(mod, fingerprint, repeat(p))
         self.vertices.append(y)
         self.cols.append(column)
         self.inverses.append(inverse)
         self.pivots.append(pivots)
+        self.phis.append(phis)
 
     def pop(self) -> None:
         self.vertices.pop()
         self.cols.pop()
         self.inverses.pop()
         self.pivots.pop()
-        if self._gathered is not None and len(self.cols) < self._gathered[0]:
-            self._gathered = None
+        self.phis.pop()
 
 
 def _kernel(rows: list[list[int]]) -> list[int]:
@@ -708,7 +777,7 @@ def exists_with_support_at_most(
     # slice deficits prune with the orbits; the plain DFS is the reference
     slices = _SliceFilter(n, q, lo, hi, s) if budget.symmetry_pruning else None
 
-    gram = _GramPath(n, q, _complement_kernel(n, q, lo, hi), RANK_PRIME)
+    gram = _GramPath(n, q, lo, hi, RANK_PRIME)
     limit = budget.max_subsets
     tests = 0
 
@@ -747,11 +816,10 @@ def exists_with_support_at_most(
                     continue
                 child, kids = expand(canon, x)
                 if kids and depth + 2 == s:
-                    # test the last level without a push, up to the first zero
-                    pivots = gram.pivots_after(x, kids)
-                    zero = pivots.index(0) if 0 in pivots else len(pivots)
-                    charge(zero)
-                    kids = kids[zero:]
+                    # the last level: children up to the first candidate need no push
+                    first = gram.first_candidate(x, kids)
+                    charge(first)
+                    kids = kids[first:]
                 if not kids:
                     continue
                 gram.push(x)

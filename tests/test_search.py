@@ -3,9 +3,10 @@ import random
 import subprocess
 import sys
 from array import array
+from fractions import Fraction
 from itertools import chain, combinations, product
 from math import comb, inf
-from operator import mul
+from operator import eq, mul
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from hammingsupport import (
     constructions,
     krawtchouk,
     search,
+    spectra,
 )
 from hammingsupport.claims import ClaimFailure, _verify_minimality
 from hammingsupport.core import ScaleError, word_map
@@ -571,6 +573,48 @@ class TestCanonicity:
         assert maps[0][2**14] == 2**15 and maps[-1][2**13] == 2**14 and maps[-1][2**15] == 2**15
         assert len(search._pruning_maps(2, 16)) == search.MAX_MAP_ENTRIES // 16**2 == 4096
 
+    @staticmethod
+    def with_array_products(swaps, cap):
+        """swaps, then the products of the pairs for which g h == h g over all q^n entries, up to cap maps."""
+        table = list(swaps)
+        for g, h in combinations(swaps, 2):
+            if len(table) >= cap:
+                break
+            # compared entry by entry, up to the first difference
+            if all(map(eq, map(g.__getitem__, h), map(h.__getitem__, g))):
+                table.append(array(g.typecode, map(g.__getitem__, h)))
+        return table
+
+    def test_commuting_read_off_the_swaps(self, monkeypatch):
+        # every (n, q) with q^n <= 4096 whose table has room for a product,
+        # n = 1 up to q = 64, cut 16 products after the transpositions so the
+        # sweep stays short; the full cut at a few tables, the capped (2, 16)
+        # and (16, 2) among them.  The transpositions themselves are checked
+        # by test_maps_are_automorphisms_fixing_zero
+        cases = []
+        for q in range(2, 65):
+            n = 0
+            while q**n <= 4096:
+                maps = search.MAX_MAP_ENTRIES // q**n
+                swaps = comb(n, 2) + n * comb(q - 1, 2)
+                if swaps < maps:
+                    cases.append((n, q, min(maps, swaps + 16)))
+                n += 1
+        full = [(2, 16), (16, 2), (3, 4), (2, 6), (4, 4), (3, 5)]
+        cases += [(n, q, search.MAX_MAP_ENTRIES // q**n) for n, q in full]
+        products = 0
+        try:
+            for n, q, kept in cases:
+                monkeypatch.setattr(search, "MAX_MAP_ENTRIES", kept * q**n)
+                search._pruning_maps.cache_clear()
+                table = search._pruning_maps(n, q)
+                swaps = table[:min(comb(n, 2) + n * comb(q - 1, 2), kept)]
+                assert list(table) == self.with_array_products(swaps, kept), (n, q)
+                products += len(table) - len(swaps)
+        finally:
+            search._pruning_maps.cache_clear()
+        assert len(cases) == 198 and products == 6203
+
     def test_symbol_permutations_generated_lazily(self):
         # the transpositions are generated one at a time: (1, 65536) has
         # about 2*10^9 symbol swaps, terabytes if materialized; under a 1 GB
@@ -627,8 +671,35 @@ class TestChildrenPipeline:
         assert 0 not in sizes
 
 
+def exact_schur(columns, fingerprint, path):
+    """z -> (pivot, fingerprint) of z against path over Q, for every z after path[-1].
+
+    An LDL^T of M[S,S] in Fractions: t = L^-1 M[S,z], the pivot
+    M[z,z] - sum of t_i^2 / d_i, and the fingerprint G(z) - sum of
+    t_i gamma_i / d_i with gamma = L^-1 G[S].
+    """
+    def forward(entries):
+        t = []
+        for j, row in enumerate(L):
+            t.append(entries[j] - sum(map(mul, row, t)))
+        return t
+
+    L, d = [], []
+    for i, v in enumerate(path):
+        t = forward([Fraction(columns[v][u]) for u in path[:i]])
+        L.append([tj / dj for tj, dj in zip(t, d)])
+        d.append(columns[v][v] - sum(tj * tj / dj for tj, dj in zip(t, d)))
+    gamma = forward([Fraction(fingerprint[v]) for v in path])
+    exact = {}
+    for z in range(path[-1] + 1, len(columns)):
+        t = forward([Fraction(columns[z][v]) for v in path])
+        exact[z] = (columns[z][z] - sum(tj * tj / dj for tj, dj in zip(t, d)),
+                    fingerprint[z] - sum(tj * gj / dj for tj, gj, dj in zip(t, gamma, d)))
+    return exact
+
+
 class TestCachedPivots:
-    """The cached Schur pivots against an exact rank of the columns, along random paths."""
+    """The cached Schur pivots and fingerprints against exact arithmetic, along random paths."""
 
     @pytest.mark.parametrize("prime", [search.RANK_PRIME, 3])
     @pytest.mark.parametrize(
@@ -638,80 +709,126 @@ class TestCachedPivots:
         size = q**n
         words = [index_to_word(t, n, q) for t in range(size)]
         kappa = search._complement_kernel(n, q, lo, hi)
+        fingerprint = search._fingerprint(n, q, lo, hi)
         columns = [
             [kappa[hamming_distance(words[y], words[x])] for y in range(size)]
             for x in range(size)
         ]
 
+        def dependent(vertices):
+            rows = list(zip(*(columns[x] for x in vertices)))
+            return fraction_matrix_rank(rows) < len(vertices)
+
         # the walk starts down the support of a minimum witness, then wanders
         witness = find_minimum(n, q, lo, hi).witness
         support = [x for x, value in enumerate(witness.values) if value]
         rng = random.Random(size * prime)
-        gram = search._GramPath(n, q, kappa, prime)
+        gram = search._GramPath(n, q, lo, hi, prime)
         assert gram.dependency(0) is None
         gram.push(0)
-        zeros = 0
+        zeros = skipped = last_zeros = 0
         for _ in range(15):
             path = list(gram.vertices)
             independent = []
             for z in range(path[-1] + 1, size):
                 rows = list(zip(*(columns[x] for x in path + [z])))
-                dependent = fraction_matrix_rank(rows) < len(path) + 1
                 confirmed = not gram.pivots[-1][z]
                 c = gram.dependency(z)
-                assert (c is not None) == dependent, (path, z)
+                assert (c is not None) == dependent(path + [z]), (path, z)
                 if confirmed:
                     # the exact check leaves every path list in residues mod the prime
-                    lists = gram.pivots + gram.cols + [gram.inverses]
+                    lists = gram.pivots + gram.phis + gram.cols + [gram.inverses]
                     assert all(type(v) is int and 0 <= v < gram.prime for v in chain(*lists))
-                if dependent:
+                if c is not None:
                     zeros += 1
                     assert all(sum(map(mul, c, row)) == 0 for row in rows)
                 else:
                     independent.append(z)
             assert gram.vertices == path
-            if independent:
-                # the last level without a push reads the pivots a push writes
-                x, later = independent[0], list(range(independent[0] + 1, size))
-                direct = gram.pivots_after(x, later)
-                gram.push(x)
-                assert direct == [gram.pivots[-1][z] for z in later]
-                gram.pop()
-            if path == support[:len(path)] and len(path) + 1 < len(support):
+
+            # every pivot and fingerprint the path holds is its exact value mod the prime
+            p = gram.prime
+            exact = {
+                z: tuple(v.numerator * pow(v.denominator, -1, p) % p for v in pair)
+                for z, pair in exact_schur(columns, fingerprint, path).items()
+            }
+            assert exact == {z: (gram.pivots[-1][z], gram.phis[-1][z]) for z in exact}
+
+            # the last level below a parent x, on the witness's support when
+            # the path is a prefix of it: the first child whose exact values
+            # meet the congruence, and every child before it independent over Q
+            on_support = path == support[:len(path)] and len(path) + 1 < len(support)
+            parents = [support[len(path)]] if on_support else independent[:1]
+            for x in parents:
+                later = list(range(x + 1, size))
+                first = gram.first_candidate(x, later)
+                dx, fx = exact[x]
+                meets = [(exact[z][1] ** 2 * dx - fx**2 * exact[z][0]) % p == 0 for z in later]
+                assert first == (meets.index(True) if True in meets else len(later)), (path, x)
+                deps = [dependent(path + [x, z]) for z in later[:first + 1]]
+                assert not any(deps[:first]), (path, x)
+                skipped += first
+                last_zeros += sum(deps)
+            if on_support:
                 gram.push(support[len(path)])
             elif independent and len(path) < 6 and rng.random() < 0.75:
                 gram.push(rng.choice(independent))
             elif len(path) > 1:
                 gram.pop()
         assert zeros, "no path reached a dependency"
+        assert last_zeros, "no last level held a dependent child"
+        assert skipped, "no last level skipped a child"
 
     @pytest.mark.parametrize(
-        "n, q, lo, hi, s, status",
-        [(3, 3, 1, 2, 3, SearchStatus.EXHAUSTED), (2, 5, 1, 1, 8, SearchStatus.FOUND)],
+        "n, q, lo, hi, s, prune, status",
+        [(3, 3, 1, 2, 3, False, SearchStatus.EXHAUSTED), (2, 5, 1, 1, 8, True, SearchStatus.FOUND)],
     )
     def test_last_level_reads_the_new_prime_after_a_false_alarm(
-        self, monkeypatch, n, q, lo, hi, s, status
+        self, monkeypatch, n, q, lo, hi, s, prune, status
     ):
-        # at prime 2 a zero among a last level's children is often a false
-        # alarm, after which the path is factored again at a larger prime;
-        # the next parent on the same path must read residues mod that prime
-        pivots_after = search._GramPath.pivots_after
+        # at prime 2 a candidate among a last level's children is often a
+        # false alarm, after which the path is factored again at a larger
+        # prime; the next parent on the same path must read pivots and
+        # fingerprints mod that prime.  The pruned search for (3, 3, 1, 2, 3)
+        # reaches its last level only after its false alarms, so the plain
+        # one runs there
+        first_candidate = search._GramPath.first_candidate
         calls = []
 
         def checked(gram, x, zs):
-            direct = pivots_after(gram, x, zs)
-            fresh = search._GramPath(n, q, gram.kappa, gram.prime)
-            for v in gram.vertices + [x]:
+            fresh = search._GramPath(n, q, lo, hi, gram.prime)
+            for v in gram.vertices:
                 fresh.push(v)
-            assert direct == [fresh.pivots[-1][z] for z in zs], (gram.vertices, x)
+            assert gram.pivots[-1] == fresh.pivots[-1], (gram.vertices, x)
+            assert gram.phis[-1] == fresh.phis[-1], (gram.vertices, x)
+            first = first_candidate(gram, x, zs)
+            assert first == first_candidate(fresh, x, zs), (gram.vertices, x)
             calls.append((gram.vertices[:], gram.prime))
-            return direct
+            return first
 
         monkeypatch.setattr(search, "RANK_PRIME", 2)
-        monkeypatch.setattr(search._GramPath, "pivots_after", checked)
-        assert exists_with_support_at_most(n, q, lo, hi, s).status is status
+        monkeypatch.setattr(search._GramPath, "first_candidate", checked)
+        budget = SearchBudget(symmetry_pruning=prune)
+        assert exists_with_support_at_most(n, q, lo, hi, s, budget).status is status
         reprimed = [b for a, b in zip(calls, calls[1:]) if a[0] == b[0] and a[1] != b[1]]
         assert reprimed, "no parent followed a false alarm on the same path"
+
+
+class TestFingerprint:
+    """The extra row G of the last level: in M's row space, and M w in closed form."""
+
+    @pytest.mark.parametrize("n, q", [(0, 3), (1, 2), (1, 5), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2), (4, 3)])
+    def test_row_space_and_graded_reference(self, n, q):
+        w = [1]
+        for j in range(n):
+            w = [v * (31 * (a + 1) ** 3 + (j + 1) ** 2 * (a + 1) + j) for v in w for a in range(q)]
+        graded = spectra._graded(GridFunction(n, q, w))  # q^n E_t w
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                g = search._fingerprint(n, q, lo, hi)
+                outside = [graded[t] for t in range(n + 1) if not lo <= t <= hi]
+                assert g == tuple(map(sum, zip(*outside))) if outside else g == (0,) * q**n
+                assert spectra.project_span(GridFunction(n, q, g), lo, hi).is_zero()
 
 
 class TestExactCheck:
@@ -734,7 +851,7 @@ class TestExactCheck:
         rng = random.Random(size)
         zeros = 0
         for _ in range(4):
-            gram = search._GramPath(n, q, kappa, search.RANK_PRIME)
+            gram = search._GramPath(n, q, lo, hi, search.RANK_PRIME)
             found = 0
             for x in range(size):
                 rows = list(zip(*(columns[v] for v in gram.vertices + [x])))
