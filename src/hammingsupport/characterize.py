@@ -37,6 +37,7 @@ factorize reports that regime explicitly instead of guessing.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -82,8 +83,11 @@ def _match_a1(g: list[int], n: int, q: int, s: int):
     nonzero = {(x, y) for x in range(q) for y in range(q) if any(pair_slices[x][y])}
     if len(nonzero) != 2 * (q - 1):
         return None
-    for k in range(q):
-        for m in range(q):
+    # a match holds q - 1 points in row k and in column m, so only those are tried
+    rows = Counter(x for x, _ in nonzero)
+    cols = Counter(y for _, y in nonzero)
+    for k in [x for x in range(q) if rows[x] == q - 1]:
+        for m in [y for y in range(q) if cols[y] == q - 1]:
             want = {(k, y) for y in range(q) if y != m}
             want |= {(x, m) for x in range(q) if x != k}
             if nonzero != want:

@@ -81,19 +81,25 @@ class UniformityReport:
 
 
 def is_uniform(f: GridFunction) -> UniformityReport:
-    """Uniformity test with the smallest exceptional symbol per coordinate."""
+    """Uniformity test with the smallest exceptional symbol per coordinate.
+
+    Let D be the slices that differ from slice 0.  Symbol 0 is exceptional
+    when the slices after it all agree: D is empty, or D holds every one of
+    them and they are equal.  Otherwise a symbol l > 0 is exceptional
+    exactly when D = {l}, since any other l leaves slice 0 and a slice of D
+    behind.  So at most 2(q-1) slice comparisons decide a coordinate.
+    """
     if f.n < 1:
         raise ValueError("uniformity needs at least one coordinate")
+    q = f.q
     witnesses: list[Optional[int]] = []
     for r in range(f.n):
-        parts = slice_lists(f.nums, f.n, f.q, r)
-        found: Optional[int] = None
-        for l in range(f.q):
-            rest = [parts[k] for k in range(f.q) if k != l]
-            if all(p == rest[0] for p in rest[1:]):
-                found = l
-                break
-        witnesses.append(found)
+        parts = slice_lists(f.nums, f.n, q, r)
+        differ = [k for k in range(1, q) if parts[k] != parts[0]]
+        if not differ or len(differ) == q - 1 and parts.count(parts[1]) == q - 1:
+            witnesses.append(0)
+        else:
+            witnesses.append(differ[0] if len(differ) == 1 else None)
     return UniformityReport(all(w is not None for w in witnesses), tuple(witnesses))
 
 

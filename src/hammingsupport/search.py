@@ -160,10 +160,26 @@ coordinate one case holds:
         nonzero (at least m0 points), or at least two are, which needs
         q >= 3 since a zero slice is left over.
 
-`slice_lower(n, q, lo, hi)` is the recursion min(q m3, m0, 2 m1 if
-q >= 3), with m3, m1 and m0 its own values at n - 1, inf on an empty
-window and 1 at n = 0.  It reads nothing the search found and never the
-paper's formula, so it is the one lower bound the search knows.
+The cases give the recursion min(q m3, m0, 2 m1 if q >= 3), with m3, m1
+and m0 its own values at n - 1, inf on an empty window and 1 at n = 0.
+`slice_lower(n, q, lo, hi)` is its closed form.  Clip the window to
+[0, n] and let a = lo, b = n - hi and V(a, b) = q^b 2^max(0, a - b); the
+recursion equals V, by induction on n.  At n = 0, a = b = 0 and V = 1.
+At n >= 1 the three windows, clipped to [0, n - 1], give
+
+    m3 = V(max(a - 1, 0), max(b - 1, 0)),
+    m1 = V(max(a - 1, 0), b), or inf when hi = 0,
+    m0 = V(a, b), or inf when lo = hi,
+
+so q m3 = V when b >= 1 and q m3 = q 2^max(a - 1, 0) >= V when b = 0,
+2 m1 = q^b 2^(1 + max(0, a - 1 - b)) >= V, and m0 >= V.  Every term is
+at least V and one equals it: q m3 when b >= 1; when b = 0 < a, 2 m1 for
+q >= 3, or q m3 = 2^a for q = 2; m0 when a = b = 0.  The bound reads
+nothing the search found and never the paper's formula, so it is the one
+lower bound the search knows.  With i = lo and j = hi, it meets the
+paper's value 2^i (q-1)^i q^(n-i-j) (i + j <= n) when i = 0 and
+2^i (q-1)^(n-j) (i + j > n) when j = n, and falls short of them by
+(2(q-1)/q)^i and (2(q-1)/q)^(n-j) elsewhere, factors that are 1 at q = 2.
 
 For a path S and a coordinate, let c_a count the vertices of S in slice
 a.  A support C that contains S has at least c_a points in slice a, so
@@ -188,9 +204,11 @@ s = the minimum every dependent set the plain DFS meets is such a
 circuit, so its first one is the least, the pruned DFS meets it first
 too, and the witness is the same.  The counts are read off the path each
 time a vertex's children are listed, O(n |S|) with |S| < s, so no state
-follows the path.  They give the allowed symbols of each coordinate,
-O(q^2) per coordinate and cached by the counts, and a child's symbol is
-read by index arithmetic, on the coordinates that rule a symbol out only.
+follows the path.  They give the allowed symbols of each coordinate.  A
+deficit depends only on the multiset of counts, so it is evaluated once
+per distinct count, at most |S| + 1 times at O(q) each, and cached by the
+counts; a child's symbol is read by index arithmetic, on the coordinates
+that rule a symbol out only.
 `symmetry_pruning=False` turns both prunings off: the plain DFS is the
 reference.
 
@@ -211,7 +229,7 @@ from math import gcd, inf, isqrt
 from operator import add, floordiv, itemgetter, le, mod, mul, sub
 from typing import Optional
 
-from .core import MAX_VERTICES, GridFunction, validate_shape, word_map
+from .core import GridFunction, validate_shape, word_map
 from . import spectra
 
 # Pruning tables hold at most MAX_MAP_ENTRIES map entries in all; a larger
@@ -313,7 +331,8 @@ def _fingerprint(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
     """
     size = q**n
     weights = [[31 * (a + 1) ** 3 + (j + 1) ** 2 * (a + 1) + j for a in range(q)] for j in range(n)]
-    front = [([sum(w)] * q, [q * v - sum(w) for v in w]) for w in weights]
+    totals = map(sum, weights)
+    front = [([total] * q, [q * v - total for v in w]) for w, total in zip(weights, totals)]
     back = [(b, a) for a, b in front]
 
     def graded(pairs, low: int, high: int) -> list[int]:
@@ -483,35 +502,20 @@ def _tie_smaller(prefix: list[int], bucket: list, z: int) -> bool:
     return False
 
 
-def _slice_minima(n: int, q: int, lo: int, hi: int) -> tuple:
-    """(m3, m1, m0): `slice_lower` of U_[lo-1,hi], U_[lo-1,hi-1] and U_[lo,hi-1] at n - 1."""
-    return (slice_lower(n - 1, q, lo - 1, hi), slice_lower(n - 1, q, lo - 1, hi - 1),
-            slice_lower(n - 1, q, lo, hi - 1))
-
-
-@lru_cache(maxsize=None)
 def slice_lower(n: int, q: int, lo: int, hi: int) -> float:
     """A lower bound on the support of every nonzero f in U_[lo,hi](n,q), by the descent rules.
 
     The window is clipped to [0, n]; an empty one holds only zero, and
-    gives inf.  At n = 0 the bound is 1.  Otherwise the slices of f at one
-    coordinate are all nonzero (q m3 points), or exactly one is (m0), or at
-    least two are and one is zero, which needs q >= 3 (2 m1); see the
-    module docstring.  The value never reads the paper's formula.  The
-    recursion is two frames per coordinate deep, so n is capped at 16, the
-    most coordinates a search within MAX_VERTICES = 2^16 vertices has (q >= 2);
-    a larger n raises ValueError.
+    gives inf.  Otherwise the bound is q^(n-hi) 2^max(0, lo+hi-n), the
+    closed form of the recursion on the slices of f at one coordinate:
+    all nonzero (q m3 points), exactly one nonzero (m0), or at least two
+    nonzero and one zero, which needs q >= 3 (2 m1).  The module docstring
+    proves the two equal.  The value never reads the paper's formula.
     """
-    most = MAX_VERTICES.bit_length() - 1
-    if n > most:
-        raise ValueError(f"slice_lower takes n <= {most}, got n = {n}")
     lo, hi = max(lo, 0), min(hi, n)
     if lo > hi:
         return inf
-    if n == 0:
-        return 1
-    m3, m1, m0 = _slice_minima(n, q, lo, hi)
-    return min(q * m3, m0, 2 * m1 if q >= 3 else inf)
+    return q ** (n - hi) * 2 ** max(0, lo + hi - n)
 
 
 def _least_support(n: int, q: int, lo: int, hi: int, budget: SearchBudget) -> int:
@@ -537,13 +541,17 @@ def _deficit(counts: list[int], m3: float, m1: float, m0: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _allowed_symbols(counts: tuple[int, ...], slack: int, bounds: tuple) -> Optional[tuple]:
-    """Whether each symbol keeps the deficit of counts plus one point <= slack; None if all do."""
-    allowed = []
-    for a in range(len(counts)):
+    """Whether each symbol keeps the deficit of counts plus one point <= slack; None if all do.
+
+    Symbols with equal counts give the same multiset of grown counts, so one
+    deficit per distinct count decides them all.
+    """
+    verdicts = {}
+    for c in set(counts):
         grown = list(counts)
-        grown[a] += 1
-        allowed.append(_deficit(grown, *bounds) <= slack)
-    return None if all(allowed) else tuple(allowed)
+        grown[counts.index(c)] += 1
+        verdicts[c] = _deficit(grown, *bounds) <= slack
+    return None if all(verdicts.values()) else tuple(map(verdicts.__getitem__, counts))
 
 
 class _SliceFilter:
@@ -560,7 +568,9 @@ class _SliceFilter:
 
     def __init__(self, n: int, q: int, lo: int, hi: int, s: int):
         self.q, self.s = q, s
-        self.bounds = _slice_minima(n, q, lo, hi)
+        # (m3, m1, m0): slice_lower of U_[lo-1,hi], U_[lo-1,hi-1] and U_[lo,hi-1] at n - 1
+        self.bounds = (slice_lower(n - 1, q, lo - 1, hi), slice_lower(n - 1, q, lo - 1, hi - 1),
+                       slice_lower(n - 1, q, lo, hi - 1))
         self.weights = [q ** (n - 1 - r) for r in range(n)]  # coordinate 0 most significant
 
     def allowed(self, path: list[int], candidates):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,9 @@ from hammingsupport import (
     factorize,
     is_minimum_and_characterized,
 )
+
+import hammingsupport.characterize as characterize
+from hammingsupport.reduction import slice_lists
 
 from conftest import random_factors
 
@@ -121,6 +125,48 @@ class TestPinnedCertificates:
         assert (cert.family, cert.sigma, list(map(str, cert.factors)), cert.c) == (
             family, sigma, factors, c
         )
+
+
+class TestMatchA1:
+    def test_certificates_as_with_every_pair_tried(self, monkeypatch):
+        # the rule that tries every (k, m) in row-major order, against the
+        # one that tries only full rows and columns
+        def every_pair(g, n, q, s):
+            pair_slices = [slice_lists(gx, n - 1, q, s - 1) for gx in slice_lists(g, n, q, 0)]
+            nonzero = {(x, y) for x in range(q) for y in range(q) if any(pair_slices[x][y])}
+            if len(nonzero) != 2 * (q - 1):
+                return None
+            for k in range(q):
+                for m in range(q):
+                    want = {(k, y) for y in range(q) if y != m}
+                    want |= {(x, m) for x in range(q) if x != k}
+                    if nonzero != want:
+                        continue
+                    ys = [y for y in range(q) if y != m]
+                    h = pair_slices[k][ys[0]]
+                    if any(pair_slices[k][y] != h for y in ys[1:]):
+                        continue
+                    minus_h = [-v for v in h]
+                    if any(pair_slices[x][m] != minus_h for x in range(q) if x != k):
+                        continue
+                    return k, m, h
+            return None
+
+        cases = []
+        for q in range(2, 6):
+            for k in range(q):
+                for m in range(q):
+                    for build, n, lo, hi, cofactor in (
+                        (build_F1, 2, 1, 1, []), (build_F1, 3, 1, 1, [a3()]),
+                        (build_F1, 3, 1, 2, [a4(q - 1)]), (build_F2, 3, 2, 2, [a2(0, q - 1)]),
+                        (build_F1, 4, 2, 2, [a1(1, 0)]),
+                    ):
+                        f = build(n, q, lo, hi, [a1(k, m)] + cofactor, c=-2)
+                        cases += [(f.permute(sigma), lo, hi) for sigma in permutations(range(n))]
+        found = [factorize(*case) for case in cases]
+        monkeypatch.setattr(characterize, "_match_a1", every_pair)
+        assert found == [factorize(*case) for case in cases]
+        assert all(result.status is FactorizeStatus.CERTIFIED for result in found)
 
 
 class TestNormalization:

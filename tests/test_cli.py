@@ -31,6 +31,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv, timeout=60):
+    """The CLI in a fresh interpreter, so a slow run is cut at `timeout` seconds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "hammingsupport.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
 class TestGen:
     def test_f1_to_file(self, tmp_path, capsys):
         out = tmp_path / "f1.hgf"
@@ -186,6 +198,18 @@ class TestVerify:
         code, stdout, _ = run(capsys, "verify", str(path), "--json")
         data = json.loads(stdout)
         assert set(data["profile"]) - {1}  # profile leaks outside [1,1]
+
+    def test_one_coordinate_at_the_vertex_cap(self, tmp_path):
+        # n = 1, q = 65536: uniformity compares each slice with slice 0
+        # and the differing ones with each other, not every slice per symbol
+        path = tmp_path / "big.hgf"
+        nums = [(7 * x) % 5 - 2 for x in range(65536)]
+        write_hgf(GridFunction(1, 65536, tuple(nums)), path)
+        code, stdout, _ = run_process("verify", str(path), "--json")
+        assert code == 0
+        data = json.loads(stdout)
+        assert (data["support"], data["uniform"], data["uniform_witnesses"]) == (
+            sum(map(bool, nums)), False, [None])
 
     def test_zero_function_warning(self, tmp_path, capsys):
         path = tmp_path / "zero.hgf"
@@ -414,6 +438,22 @@ class TestMinsupport:
         )
         assert code == 2
         assert time.perf_counter() - start < 15.0
+
+    def test_one_coordinate_at_the_vertex_cap(self):
+        # n = 1, q = 65536: the setup of a search, the fingerprint and the
+        # allowed symbols per count, stays linear in q
+        code, stdout, _ = run_process(
+            "minsupport", "--n", "1", "--q", "65536", "--lo", "0", "--hi", "1", "--json"
+        )
+        assert code == 0
+        assert json.loads(stdout) == {"minimum": 1, "lower": 1, "upper": 1, "conclusive": True,
+                                      "subsets_examined": 1, "witness_support": 1}
+        code, stdout, _ = run_process(
+            "minsupport", "--n", "1", "--q", "65536", "--lo", "0", "--hi", "0",
+            "--max-subsets", "10",
+        )
+        assert code == 2
+        assert stdout == "inconclusive: minimum in [65536, ?] after 10 rank tests\n"
 
     def test_no_prune_same_answer(self, capsys):
         code, stdout, _ = run(

@@ -139,6 +139,37 @@ class TestUniform:
         assert rep.uniform
         assert rep.witnesses == (2, 3)  # peak row and valley column
 
+    def test_against_every_exceptional_symbol(self, rng):
+        # the rule that tries each symbol as the exception, smallest first
+        def every_symbol(f):
+            witnesses = []
+            for r in range(f.n):
+                parts = slice_lists(f.nums, f.n, f.q, r)
+                found = None
+                for l in range(f.q):
+                    rest = [parts[k] for k in range(f.q) if k != l]
+                    if all(p == rest[0] for p in rest[1:]):
+                        found = l
+                        break
+                witnesses.append(found)
+            return tuple(witnesses)
+
+        seen = set()
+        for q in range(2, 6):
+            for n in range(1, 5):
+                for i in range(n + 1):
+                    for j in range(i, n + 1):
+                        product = random_family_instance(n, q, i, j, rng)
+                        values = list(product.values)
+                        values[rng.randrange(q**n)] += 1
+                        for f in (product, GridFunction(n, q, values),
+                                  random_values(n, q, rng, 0, 1)):
+                            rep = is_uniform(f)
+                            assert rep.witnesses == every_symbol(f), (f.n, f.q, f.nums)
+                            assert rep.uniform == (None not in rep.witnesses)
+                            seen.update(rep.witnesses)
+        assert seen == {None, 0, 1, 2, 3, 4}
+
 
 class TestLemmaReduction:
     def test_a1_differences_drop_to_u0(self):

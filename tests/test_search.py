@@ -4,6 +4,7 @@ import subprocess
 import sys
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb, inf
 from operator import eq, mul
@@ -29,6 +30,7 @@ from hammingsupport import (
     spectra,
 )
 from hammingsupport.claims import ClaimFailure, _verify_minimality
+from hammingsupport.constructions import f1_support_size, f2_support_size
 from hammingsupport.core import ScaleError, word_map
 
 from conftest import fraction_matrix_rank, is_orbit_minimal
@@ -320,18 +322,40 @@ class TestSliceDeficits:
     @pytest.mark.parametrize(
         "n, q, lo, hi, value",
         [(0, 3, 0, 0, 1), (1, 3, 2, 2, inf), (1, 3, 0, 1, 1), (1, 3, 0, 0, 3), (2, 3, 1, 1, 3),
-         (2, 2, 1, 1, 2), (3, 3, 2, 2, 6), (3, 3, 0, 1, 9), (3, 4, 2, 2, 8), (8, 2, 1, 1, 128)],
+         (2, 2, 1, 1, 2), (3, 3, 2, 2, 6), (3, 3, 0, 1, 9), (3, 4, 2, 2, 8), (8, 2, 1, 1, 128),
+         (4000, 2, 1000, 2000, 2**2000)],
     )
     def test_values(self, n, q, lo, hi, value):
         assert search.slice_lower(n, q, lo, hi) == value
 
-    def test_more_coordinates_than_any_search_rejected(self):
-        # n = 16 is the most a search within the vertex cap has; the
-        # recursion would pass Python's limit from a few hundred on
-        assert search.slice_lower(16, 2, 4, 16) >= 1
-        for n in (17, 499):
-            with pytest.raises(ValueError, match="n <= 16"):
-                search.slice_lower(n, 3, n // 3, n // 2)
+    def test_closed_form_equals_the_recursion(self):
+        # the recursion of the descent rules, as the module docstring states
+        # it: all slices nonzero (q m3), exactly one (m0), or two or more
+        # with a zero slice left over (2 m1, q >= 3); windows clipped to [0, n]
+        @lru_cache(maxsize=None)
+        def recursion(n, q, lo, hi):
+            lo, hi = max(lo, 0), min(hi, n)
+            if lo > hi:
+                return inf
+            if n == 0:
+                return 1
+            m3 = recursion(n - 1, q, lo - 1, hi)
+            m1 = recursion(n - 1, q, lo - 1, hi - 1)
+            m0 = recursion(n - 1, q, lo, hi - 1)
+            return min(q * m3, m0, 2 * m1 if q >= 3 else inf)
+
+        cells = 0
+        for q in range(2, 17):
+            for n in range(41):
+                for lo in range(-1, n + 2):
+                    for hi in range(lo - 1, n + 2):
+                        bound = search.slice_lower(n, q, lo, hi)
+                        assert bound == recursion(n, q, lo, hi), (n, q, lo, hi)
+                        if 0 <= lo <= hi <= n:  # never above the F1/F2 support
+                            size = f1_support_size if lo + hi <= n else f2_support_size
+                            assert bound <= size(n, q, lo, hi), (n, q, lo, hi)
+                        cells += 1
+        assert cells == 226935
 
     def test_pruned_search_starts_at_it(self):
         # the zero word's slice deficit is slice_lower - 1 (n = 0 has no
@@ -401,6 +425,23 @@ class TestSliceDeficits:
                     bounds = (m3, m1, m0)
                     assert search._deficit(list(counts), *bounds) == oracle(counts, *bounds), (
                         counts, bounds)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_allowed_symbols_against_every_symbol(self, q):
+        # one deficit per distinct count decides each symbol as the
+        # per-symbol rule does: count plus one point, deficit <= slack
+        values = (1, 2, 3, 5, inf)
+        for counts in product(range(3), repeat=q):
+            for bounds in product(values, repeat=3):
+                for slack in range(-1, 5):
+                    allowed = []
+                    for a in range(q):
+                        grown = list(counts)
+                        grown[a] += 1
+                        allowed.append(search._deficit(grown, *bounds) <= slack)
+                    expected = None if all(allowed) else tuple(allowed)
+                    assert search._allowed_symbols(counts, slack, bounds) == expected, (
+                        counts, bounds, slack)
 
     @pytest.mark.parametrize(
         "n, q, lo, hi, minimum, tests",
