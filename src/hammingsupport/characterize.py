@@ -23,10 +23,10 @@ reduction, and c is the last numerator left over that denominator.
 
 These classifications are mutually exclusive and forced for a genuine
 tensor product, and peeling one factor leaves the kind of every other
-coordinate unchanged.  So a single pass over the coordinates per kind (a4,
-then a3 or a2) finds every factor of that kind: after a hit the next
-coordinate shifts into the same position and is tested there, and no
-coordinate already passed can have turned into a hit.  Every certificate is
+coordinate unchanged.  So a single pass over the coordinates finds every
+one-coordinate factor (a4, and a3 or a2): after a hit the next coordinate
+shifts into the same position and is tested there, and no coordinate
+already passed can have turned into a hit.  Every certificate is
 still re-validated by exact reconstruction before it is returned.
 
 The F1 template applies when i + j <= n, the F2 template when i = j > n/2.
@@ -45,7 +45,6 @@ from typing import Optional
 from .core import GridFunction
 from . import spectra
 from .constructions import (
-    ElementaryFactor,
     FactorizationCertificate,
     SupportBound,
     a1,
@@ -71,15 +70,16 @@ class FactorizeResult:
     reason: str
 
 
-def _match_a1(g: list[int], n: int, q: int, s: int):
-    """Match g == a1(k,m) on coordinates (0, s) times a cofactor.
+def _match_a1(parts: list[list[int]], n: int, q: int, s: int):
+    """Match a1(k,m) on coordinates (0, s) times a cofactor.
 
-    g holds the numerators of a function on n coordinates.  Returns
-    (k, m, cofactor numerators) or None.  A product oriented the other way
-    around shows up as the transposed pattern with a negated cofactor, so a
-    single ordered test covers both orientations.
+    parts holds the q slices at coordinate 0 of the numerators of a function
+    on n coordinates.  Returns (k, m, cofactor numerators) or None.  A
+    product oriented the other way around shows up as the transposed pattern
+    with a negated cofactor, so a single ordered test covers both
+    orientations.
     """
-    pair_slices = [slice_lists(gx, n - 1, q, s - 1) for gx in slice_lists(g, n, q, 0)]
+    pair_slices = [slice_lists(part, n - 1, q, s - 1) for part in parts]
     nonzero = {(x, y) for x in range(q) for y in range(q) if any(pair_slices[x][y])}
     if len(nonzero) != 2 * (q - 1):
         return None
@@ -103,24 +103,16 @@ def _match_a1(g: list[int], n: int, q: int, s: int):
     return None
 
 
-# Each detector takes the q slices of one coordinate and returns
-# (factor, cofactor slice) when the coordinate carries that kind, else None.
-
-
-def _detect_a4(parts: list[list[int]]):
+def _detect(parts: list[list[int]], family: str):
+    """(factor, cofactor slice) for the one-coordinate factor on these q slices, or None."""
     live = [k for k, part in enumerate(parts) if any(part)]
-    return (a4(live[0]), parts[live[0]]) if len(live) == 1 else None
-
-
-def _detect_a3(parts: list[list[int]]):
-    return (a3(), parts[0]) if parts.count(parts[0]) == len(parts) else None
-
-
-def _detect_a2(parts: list[list[int]]):
-    live = [k for k, part in enumerate(parts) if any(part)]
-    if len(live) != 2 or parts[live[0]] != [-v for v in parts[live[1]]]:
-        return None
-    return a2(*live), parts[live[0]]
+    if len(live) == 1:
+        return a4(live[0]), parts[live[0]]
+    if family == "F1":
+        return (a3(), parts[0]) if parts.count(parts[0]) == len(parts) else None
+    if len(live) == 2 and parts[live[0]] == [-v for v in parts[live[1]]]:
+        return a2(*live), parts[live[0]]
+    return None
 
 
 def _peel(f: GridFunction, family: str, i: int, j: int):
@@ -132,26 +124,20 @@ def _peel(f: GridFunction, family: str, i: int, j: int):
     q = f.q
     g = list(f.nums)
     coords = list(range(f.n))
-
-    def one_pass(detect) -> list[tuple[ElementaryFactor, tuple[int, ...]]]:
-        nonlocal g
-        items = []
-        r = 0
-        while r < len(coords):
-            hit = detect(slice_lists(g, len(coords), q, r))
-            if hit is None:
-                r += 1
-            else:  # the next coordinate shifts into r
-                factor, g = hit
-                items.append((factor, (coords.pop(r),)))
-        return items
-
-    a4_items = one_pass(_detect_a4)
-    mid_items = one_pass(_detect_a2 if family == "F2" else _detect_a3)
+    hits = []
+    r = 0
+    while r < len(coords):
+        hit = _detect(slice_lists(g, len(coords), q, r), family)
+        if hit is None:
+            r += 1
+        else:  # the next coordinate shifts into r
+            factor, g = hit
+            hits.append((factor, (coords.pop(r),)))
     a1_items = []
     while coords:
+        parts = slice_lists(g, len(coords), q, 0)
         for s in range(1, len(coords)):
-            match = _match_a1(g, len(coords), q, s)
+            match = _match_a1(parts, len(coords), q, s)
             if match:
                 break
         else:
@@ -160,7 +146,8 @@ def _peel(f: GridFunction, family: str, i: int, j: int):
         a1_items.append((a1(k, m), (coords[0], coords[s])))
         del coords[s], coords[0]
 
-    items = a1_items + mid_items + a4_items
+    # a3 or a2 before a4, as in the templates; sorted keeps coordinate order
+    items = a1_items + sorted(hits, key=lambda item: item[0].kind == "a4")
     if [factor.kind for factor, _ in items] != family_template(family, f.n, i, j):
         return None
     return items, Fraction(g[0], f.den)

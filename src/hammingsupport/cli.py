@@ -157,8 +157,10 @@ def _cmd_verify(args) -> int:
         report["uniform"] = uniform.uniform
         report["uniform_witnesses"] = list(uniform.witnesses)
     if args.lo is not None:
+        # f lies in U_[lo,hi] exactly when its profile does
+        spectra.validate_range(f.n, args.lo, args.hi)
         report["range"] = [args.lo, args.hi]
-        report["member"] = spectra.in_direct_sum(f, args.lo, args.hi)
+        report["member"] = all(args.lo <= w <= args.hi for w in profile)
     if f.is_zero():
         report["warning"] = "zero function: trivially in every subspace"
     if args.json:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -25,9 +26,10 @@ from hammingsupport import (
 )
 
 import hammingsupport.characterize as characterize
+from hammingsupport.constructions import family_template
 from hammingsupport.reduction import slice_lists
 
-from conftest import random_factors
+from conftest import random_factors, random_family_instance
 
 
 def shuffled(f, rng):
@@ -131,8 +133,8 @@ class TestMatchA1:
     def test_certificates_as_with_every_pair_tried(self, monkeypatch):
         # the rule that tries every (k, m) in row-major order, against the
         # one that tries only full rows and columns
-        def every_pair(g, n, q, s):
-            pair_slices = [slice_lists(gx, n - 1, q, s - 1) for gx in slice_lists(g, n, q, 0)]
+        def every_pair(parts, n, q, s):
+            pair_slices = [slice_lists(part, n - 1, q, s - 1) for part in parts]
             nonzero = {(x, y) for x in range(q) for y in range(q) if any(pair_slices[x][y])}
             if len(nonzero) != 2 * (q - 1):
                 return None
@@ -167,6 +169,93 @@ class TestMatchA1:
         monkeypatch.setattr(characterize, "_match_a1", every_pair)
         assert found == [factorize(*case) for case in cases]
         assert all(result.status is FactorizeStatus.CERTIFIED for result in found)
+
+
+def _detect_a4(parts):
+    live = [k for k, part in enumerate(parts) if any(part)]
+    return (a4(live[0]), parts[live[0]]) if len(live) == 1 else None
+
+
+def _detect_a3(parts):
+    return (a3(), parts[0]) if parts.count(parts[0]) == len(parts) else None
+
+
+def _detect_a2(parts):
+    live = [k for k, part in enumerate(parts) if any(part)]
+    if len(live) != 2 or parts[live[0]] != [-v for v in parts[live[1]]]:
+        return None
+    return a2(*live), parts[live[0]]
+
+
+def pass_per_kind_peel(f, family, i, j):
+    """The peel with one pass for a4, then one for a3 or a2, and coordinate 0
+    cut again for every candidate a1 partner."""
+    q = f.q
+    g = list(f.nums)
+    coords = list(range(f.n))
+
+    def one_pass(detect):
+        nonlocal g
+        items = []
+        r = 0
+        while r < len(coords):
+            hit = detect(slice_lists(g, len(coords), q, r))
+            if hit is None:
+                r += 1
+            else:
+                factor, g = hit
+                items.append((factor, (coords.pop(r),)))
+        return items
+
+    a4_items = one_pass(_detect_a4)
+    mid_items = one_pass(_detect_a2 if family == "F2" else _detect_a3)
+    a1_items = []
+    while coords:
+        for s in range(1, len(coords)):
+            parts = slice_lists(g, len(coords), q, 0)
+            match = characterize._match_a1(parts, len(coords), q, s)
+            if match:
+                break
+        else:
+            return None
+        k, m, g = match
+        a1_items.append((a1(k, m), (coords[0], coords[s])))
+        del coords[s], coords[0]
+    items = a1_items + mid_items + a4_items
+    if [factor.kind for factor, _ in items] != family_template(family, f.n, i, j):
+        return None
+    return items, Fraction(g[0], f.den)
+
+
+def peel_grid(rng):
+    """Members of every window with q = 2..5 and n <= 4: three permuted
+    products of each family window inside it, with rational c, sums of two
+    of them, and the fixtures g, h and v."""
+    cases = [(counterexample_g(q), 1, 2) for q in range(2, 6)]
+    cases += [(counterexample_h(), 2, 2), (counterexample_v(), 2, 2)]
+    for q in range(2, 6):
+        for n in range(5):
+            windows = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+            family = [(i, j) for i, j in windows if i + j <= n or i == j]
+            for lo, hi in windows:
+                inner = [(i, j) for i, j in family if lo <= i and j <= hi]
+                products = []
+                for i, j in inner * 3:
+                    c = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 3)))
+                    products.append(shuffled(random_family_instance(n, q, i, j, rng, c), rng))
+                sums = [f + rng.choice(products) for f in products]
+                cases += [(f, lo, hi) for f in products + sums if not f.is_zero()]
+    return cases
+
+
+class TestOnePass:
+    def test_results_as_with_a_pass_per_kind(self, rng, monkeypatch):
+        cases = peel_grid(rng)
+        found = [factorize(*case) for case in cases]
+        monkeypatch.setattr(characterize, "_peel", pass_per_kind_peel)
+        assert found == [factorize(*case) for case in cases]
+        statuses = Counter(result.status for result in found)
+        assert len(statuses) == 3 and min(statuses.values()) >= 4
 
 
 class TestNormalization:

@@ -13,6 +13,7 @@ import pytest
 from hammingsupport import (
     GridFunction,
     a1,
+    a3,
     build_F1,
     dumps_hgf,
     elementary,
@@ -217,6 +218,27 @@ class TestVerify:
         code, stdout, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert "trivially in every subspace" in stdout
+
+    def test_member_as_the_slice_descent(self, tmp_path, capsys):
+        member = build_F1(3, 3, 1, 1, [a1(0, 2), a3()])
+        values = list(member.values)
+        values[0] += 1
+        functions = [member, GridFunction(3, 3, tuple(values)), GridFunction(3, 3, (0,) * 27)]
+        for t, f in enumerate(functions):
+            path = tmp_path / f"{t}.hgf"
+            write_hgf(f, path)
+            for lo, hi in ((1, 1), (0, 1), (1, 3), (0, 3), (2, 2)):
+                code, stdout, _ = run(capsys, "verify", str(path), "--lo", str(lo),
+                                      "--hi", str(hi), "--json")
+                assert code == 0
+                assert json.loads(stdout)["member"] == spectra_module.in_direct_sum(f, lo, hi)
+
+    def test_bad_range_gives_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "f.hgf"
+        write_hgf(build_F1(3, 3, 1, 1), path)
+        code, stdout, stderr = run(capsys, "verify", str(path), "--lo", "2", "--hi", "1")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: invalid eigenspace range [2, 1] for n = 3\n"
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.hgf"
