@@ -63,7 +63,8 @@ class ElementaryFactor:
         if self.kind not in arity:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if len(self.params) != arity[self.kind]:
-            raise ValueError(f"{self.kind} takes {arity[self.kind]} parameters")
+            count = arity[self.kind]
+            raise ValueError(f"{self.kind} takes {count} parameter{'s' * (count != 1)}")
         if self.kind == "a2" and self.params[0] == self.params[1]:
             raise ValueError("a2 requires k != m")
 

@@ -47,8 +47,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 Word = tuple[int, ...]
 
 # The largest q^n any constructor, parser or spectral routine accepts.  It is
-# the memory bound of the spectral engine, which holds n+1 integer arrays of
-# q^n entries.
+# the memory bound of the spectral engine, which holds at most n+1 integer
+# arrays of q^n entries.
 MAX_VERTICES = 2**16
 
 

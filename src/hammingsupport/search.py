@@ -226,7 +226,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, combinations, compress, filterfalse, islice, repeat
 from math import gcd, inf, isqrt
-from operator import add, floordiv, itemgetter, le, mod, mul, sub
+from operator import floordiv, itemgetter, le, mod, mul, sub
 from typing import Optional
 
 from .core import GridFunction, validate_shape, word_map
@@ -298,7 +298,7 @@ def _word_codes(n: int, q: int) -> tuple[tuple[int, ...], int, int]:
     return tuple(codes), low, guard
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _complement_kernel(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
     inside = [sum(spectra.krawtchouk(n, q, t, d) for t in range(lo, hi + 1)) for d in range(n + 1)]
     return tuple((q**n if d == 0 else 0) - inside[d] for d in range(n + 1))
@@ -308,12 +308,9 @@ def _complement_kernel(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
 def _fingerprint(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
     """G = M w, for the fixed product w = w_0 (x) ... (x) w_{n-1}, w_j(a) = 31 (a+1)^3 + (j+1)^2 (a+1) + j.
 
-    M = q^n I - sum over t in [lo,hi] of q^n E_t, and q^n E_t is the sum,
-    over the sets T of t coordinates, of the tensor product of q I - J at
-    the coordinates in T and J at the others.  On w that gives
-    G(z) = sum over t outside [lo,hi] of c_t(z), where c_t(z) is the
-    coefficient of u^t in prod_j (A_j + u B_j(z_j)), A_j the sum of w_j and
-    B_j(a) = q w_j(a) - A_j.  G is a row of M's row space, so every column
+    M = q^n I - sum over t in [lo,hi] of q^n E_t, so G is q^n w less the
+    arrays lo..hi of w's graded transform (`spectra._graded`, which stops
+    at weight hi).  G is a row of M's row space, so every column
     dependency of M holds on G.  Each factor has distinct entries,
     increasing in a, and no two factors are proportional, so no
     automorphism but the identity fixes w.  Factors with
@@ -322,37 +319,12 @@ def _fingerprint(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
     last-level parents, 40 of them independent over Q, against 803
     candidates for w_j(a) = (a + 1)(a + j + 2); a scaled copy of one factor
     per coordinate gave tens of thousands.
-
-    The coefficients are built one coordinate at a time, in integers, for
-    the fewest degrees that give the sum: those below lo, plus those above
-    hi as the low coefficients of prod_j (B_j(z_j) + u A_j); or the ones in
-    [lo,hi], from the front or from the back, taken from their sum
-    prod_j q w_j(z_j) = q^n w(z).
     """
-    size = q**n
-    weights = [[31 * (a + 1) ** 3 + (j + 1) ** 2 * (a + 1) + j for a in range(q)] for j in range(n)]
-    totals = map(sum, weights)
-    front = [([total] * q, [q * v - total for v in w]) for w, total in zip(weights, totals)]
-    back = [(b, a) for a, b in front]
-
-    def graded(pairs, low: int, high: int) -> list[int]:
-        """Per vertex z, the coefficients of u^low .. u^(high-1) in prod_j (a_j(z_j) + u b_j(z_j)), summed."""
-        if high <= low:
-            return [0] * size
-        coefs = [[1]] + [[0]] * (high - 1)  # per degree, per vertex of the coordinates so far
-        for a, b in pairs:
-            ab = list(zip(a, b))
-            coefs = [[x * c + y * e for c, e in zip(cur, below) for x, y in ab]
-                     for cur, below in zip(coefs, [repeat(0)] + coefs[:-1])]
-        return list(map(sum, zip(*coefs[low:])))
-
-    sides, forward, backward = lo + n - hi, hi + 1, n - lo + 1
-    if sides <= min(forward, backward):
-        return tuple(map(add, graded(front, 0, lo), graded(back, 0, n - hi)))
-    total = graded([([q * v for v in w], [0] * q) for w in weights], 0, 1)
-    if forward <= backward:
-        return tuple(map(sub, total, graded(front, lo, hi + 1)))
-    return tuple(map(sub, total, graded(back, n - hi, n - lo + 1)))
+    w = [1]
+    for j in range(n):
+        w = [v * (31 * (a + 1) ** 3 + (j + 1) ** 2 * (a + 1) + j) for v in w for a in range(q)]
+    inside = map(sum, zip(*spectra._graded(GridFunction._reduced(n, q, w), hi + 1)[lo:]))
+    return tuple(map(sub, map((q**n).__mul__, w), inside))
 
 
 @lru_cache(maxsize=8)
@@ -400,20 +372,20 @@ def _commute(u: tuple, v: tuple) -> bool:
     """Whether two transpositions of `_pruning_maps` commute, read off what they swap.
 
     (None, a, b) swaps coordinates a and b, and (j, a, b) the nonzero
-    symbols a and b at coordinate j.  The stabilizer of the zero word acts
-    faithfully on the words, so maps commute exactly when the group elements
-    do: two coordinate swaps when they are disjoint; a coordinate swap tau
-    and a symbol swap at j when tau fixes j, since tau moves the symbol swap
-    to coordinate tau(j); two symbol swaps when they sit at different
-    coordinates or are disjoint.
+    symbols a and b at coordinate j.  u comes before v in the table, where
+    every coordinate swap comes before every symbol swap, so v is a
+    coordinate swap only when u is one too.  The stabilizer of the zero word
+    acts faithfully on the words, so maps commute exactly when the group
+    elements do: two coordinate swaps when they are disjoint; a coordinate
+    swap tau and a symbol swap at k when tau fixes k, since tau moves the
+    symbol swap to coordinate tau(k); two symbol swaps when they sit at
+    different coordinates or are disjoint.
     """
     (j, a, b), (k, c, d) = u, v
     if j is None and k is None:
         return {a, b}.isdisjoint((c, d))
     if j is None:
         return k not in (a, b)
-    if k is None:
-        return j not in (c, d)
     return j != k or {a, b}.isdisjoint((c, d))
 
 

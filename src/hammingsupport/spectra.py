@@ -23,15 +23,18 @@ idempotents that sum to the identity, hence
 
     E_w = sum over |S| = w of (P1 on S) (x) (P0 off S).
 
-`_graded` evaluates all n+1 sums in one sweep.  It starts from the integer
-numerators of f over its denominator den and keeps one integer array per
-weight w.  A pass over a coordinate replaces the array g of weight w by its
-mean part J g, kept at weight w, and its deviation part q g - J g, moved to
-weight w+1.  These are q P0 g and q P1 g.  After n passes each set S has
-been applied along exactly one path (deviation on S, mean elsewhere), each
-pass contributed one factor q, and only integer additions and
-multiplications were used.  So array w is exactly den * q^n * E_w f.  The
-cost is O(n^2 q^n) and no table is built.
+`_graded(f, top)` evaluates the sums of weight w < top in one sweep.  It
+starts from the integer numerators of f over its denominator den and keeps
+one integer array per weight w.  A pass over a coordinate replaces the
+array g of weight w by its mean part J g, kept at weight w, and its
+deviation part q g - J g, moved to weight w+1.  These are q P0 g and
+q P1 g.  After n passes each set S has been applied along exactly one path
+(deviation on S, mean elsewhere), each pass contributed one factor q, and
+only integer additions and multiplications were used.  So array w is
+exactly den * q^n * E_w f.  No pass moves an array to a lower weight, so an
+array of weight top or more is dropped as it appears: each caller passes
+one more than the highest weight it reads (i + 1 for E_i f, n + 1 for all
+of them).  The cost is O(n * top * q^n) and no table is built.
 
 Slice descent.  Split f on its last coordinate into the slices
 f_0, ..., f_{q-1}, functions on H(n-1,q), and let e_k be the point mass at
@@ -76,10 +79,10 @@ down to two coordinates, which costs O(n q^n); sparse input, non-members
 and wide windows stop far earlier.
 
 There is no tolerance parameter anywhere (exact equality or nothing).  The
-graded transform holds n+1 integer arrays of q^n entries and the descent a
-few times q^n entries along its path; every GridFunction already has q^n <=
-core.MAX_VERTICES, which its constructors enforce with ScaleError.  All
-functions are pure.
+graded transform holds at most top integer arrays of q^n entries and the
+descent a few times q^n entries along its path; every GridFunction already
+has q^n <= core.MAX_VERTICES, which its constructors enforce with
+ScaleError.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -132,8 +135,13 @@ def _split_last(g: list[int], q: int) -> tuple[list[list[int]], list[int]]:
     return fibers, list(map(sum, zip(*fibers)))
 
 
-def _graded(f: GridFunction) -> list[list[int]]:
-    """graded[w] = f.den * q^n * E_w f as integers, for w = 0..n."""
+def _graded(f: GridFunction, top: int) -> list[list[int]]:
+    """graded[w] = f.den * q^n * E_w f as integers, for w = 0..min(n, top - 1).
+
+    A pass moves an array to the same weight or the next one, never lower,
+    so the arrays of weight top and above feed none below and are dropped as
+    soon as they appear.
+    """
     n, q = f.n, f.q
     graded = [f.nums]
     for _ in range(n):
@@ -152,7 +160,8 @@ def _graded(f: GridFunction) -> list[list[int]]:
                     for v, u, t in zip(fiber, prev_sums, sums)
                 ])
             prev_fibers, prev_sums = fibers, sums
-        out.append([q * v - u for fiber in prev_fibers for v, u in zip(fiber, prev_sums)])
+        if len(graded) < top:
+            out.append([q * v - u for fiber in prev_fibers for v, u in zip(fiber, prev_sums)])
         graded = out
     return graded
 
@@ -160,20 +169,20 @@ def _graded(f: GridFunction) -> list[list[int]]:
 def project_eigenspace(f: GridFunction, i: int) -> GridFunction:
     """E_i f, read off the graded transform."""
     _check_eigenindex(f.n, i)
-    return GridFunction._reduced(f.n, f.q, _graded(f)[i], f.den * f.q**f.n)
+    return GridFunction._reduced(f.n, f.q, _graded(f, i + 1)[i], f.den * f.q**f.n)
 
 
 def project_span(f: GridFunction, lo: int, hi: int) -> GridFunction:
     """(E_lo + ... + E_hi) f, the projection onto U_[lo,hi]."""
     validate_range(f.n, lo, hi)
-    nums = map(sum, zip(*_graded(f)[lo : hi + 1]))
+    nums = map(sum, zip(*_graded(f, hi + 1)[lo:]))
     return GridFunction._reduced(f.n, f.q, nums, f.den * f.q**f.n)
 
 
 def decompose(f: GridFunction) -> list[GridFunction]:
     """All projections [E_0 f, ..., E_n f]; they sum back to f exactly."""
     scale = f.den * f.q**f.n
-    return [GridFunction._reduced(f.n, f.q, g, scale) for g in _graded(f)]
+    return [GridFunction._reduced(f.n, f.q, g, scale) for g in _graded(f, f.n + 1)]
 
 
 def spectral_profile(f: GridFunction) -> tuple[int, ...]:
@@ -257,7 +266,7 @@ def _slice_sum_and_differences(g: Sequence[int], q: int):
 def apply_adjacency(f: GridFunction) -> GridFunction:
     """(Af)(x) = sum of f over the neighbors of x, as the sum of lambda_w E_w f."""
     lams = [eigenvalue(f.n, f.q, w) for w in range(f.n + 1)]
-    nums = (sum(map(mul, lams, column)) for column in zip(*_graded(f)))
+    nums = (sum(map(mul, lams, column)) for column in zip(*_graded(f, f.n + 1)))
     return GridFunction._reduced(f.n, f.q, nums, f.den * f.q**f.n)
 
 

@@ -129,6 +129,21 @@ class TestGen:
         code, _, stderr = run(capsys, "gen", "--family", "f1", "--n", "2")
         assert code == 1
 
+    F1 = ("--family", "f1", "--n", "2", "--q", "3", "--i", "1", "--j", "1")
+
+    @pytest.mark.parametrize("argv, message", [
+        ((*F1, "--c=1/0"), "bad rational '1/0'"),
+        ((*F1, "--c=x"), "bad rational 'x'"),
+        ((*F1, "--factors", "a1(2,2"), "bad factor 'a1(2,2'"),
+        (("--family", "a1", "--k", "1", "--m", "1"), "--q is required for elementary factors"),
+        (("--family", "a2", "--q", "3", "--k", "1"), "--k and --m are required for a2"),
+        (("--family", "a4", "--q", "3"), "--m is required for a4"),
+        (("--family", "counterexample-g"), "--q is required for counterexample-g"),
+    ])
+    def test_usage_error_gives_one_error_line(self, capsys, argv, message):
+        code, stdout, stderr = run(capsys, "gen", *argv)
+        assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("flag, value, text", [
         ("--max-subsets", "5", "inconclusive: minimum in [6, ?] after 5 rank tests\n"),
         ("--max-support", "3", "inconclusive: minimum in [4, ?] after 0 rank tests\n"),

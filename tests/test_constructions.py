@@ -73,6 +73,10 @@ class TestElementary:
         with pytest.raises(ValueError):
             ElementaryFactor("a5")
 
+    def test_arity_checked(self):
+        with pytest.raises(ValueError, match="^a4 takes 1 parameter$"):
+            ElementaryFactor("a4")
+
 
 class TestMemberships:
     @pytest.mark.parametrize("q", range(2, 8))
@@ -136,6 +140,8 @@ class TestBuilders:
     def test_zero_scalar_rejected(self):
         with pytest.raises(ValueError):
             build_F1(2, 3, 1, 1, c=0)
+        with pytest.raises(ValueError, match="scalar c must be nonzero"):
+            build_F2(3, 4, 2, 2, None, 0)
 
     def test_factor_template_mismatch(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,10 @@ class TestAlgebra:
             GridFunction(1, 1, (Fraction(0),))
         with pytest.raises(TypeError):
             GridFunction(0, 2, (0.5,))
+        with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+            GridFunction.constant(1, 2, 0.5)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            GridFunction.zero(-1, 3)
 
 
 class TestTensor:

@@ -101,6 +101,10 @@ class TestUniform:
         rep = is_uniform(GridFunction.constant(2, 4, 3))
         assert rep.uniform and rep.witnesses == (0, 0)
 
+    def test_needs_a_coordinate(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            is_uniform(GridFunction.constant(0, 3, 1))
+
     def test_f1_instances(self, rng):
         for q in (3, 4):
             for n in range(1, 4):
@@ -269,6 +273,10 @@ class TestVanishingSlices:
         report = check_lemma_vanishing_slices(f, 1, 2, 2, q - 1)
         assert report.precondition_ok and report.passed
         assert restrict(f, 2, q - 1) == inner
+
+    def test_symbol_out_of_range(self):
+        with pytest.raises(ValueError, match="symbol 3 out of range for q = 3"):
+            check_lemma_vanishing_slices(GridFunction.zero(2, 3), 0, 1, 0, 3)
 
     def test_zero_function_vacuous(self):
         report = check_lemma_vanishing_slices(GridFunction.zero(2, 3), 0, 1, 0, 1)

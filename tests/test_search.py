@@ -27,7 +27,6 @@ from hammingsupport import (
     constructions,
     krawtchouk,
     search,
-    spectra,
 )
 from hammingsupport.claims import ClaimFailure, _verify_minimality
 from hammingsupport.constructions import f1_support_size, f2_support_size
@@ -855,21 +854,26 @@ class TestCachedPivots:
         assert reprimed, "no parent followed a false alarm on the same path"
 
 
-class TestFingerprint:
-    """The extra row G of the last level: in M's row space, and M w in closed form."""
+def _small_shapes(limit):
+    """Every (n, q) with q^n <= limit, n = 0 included."""
+    return [(n, q) for q in range(2, limit + 1) for n in range(limit.bit_length()) if q**n <= limit]
 
-    @pytest.mark.parametrize("n, q", [(0, 3), (1, 2), (1, 5), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2), (4, 3)])
-    def test_row_space_and_graded_reference(self, n, q):
+
+class TestFingerprint:
+    """The extra row G of the last level against M w, with M built entry by entry."""
+
+    @pytest.mark.parametrize("n, q", _small_shapes(81))
+    def test_equals_brute_force_m_w(self, n, q):
         w = [1]
         for j in range(n):
             w = [v * (31 * (a + 1) ** 3 + (j + 1) ** 2 * (a + 1) + j) for v in w for a in range(q)]
-        graded = spectra._graded(GridFunction(n, q, w))  # q^n E_t w
+        words = [index_to_word(t, n, q) for t in range(q**n)]
+        distances = [[hamming_distance(x, y) for y in words] for x in words]
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
-                g = search._fingerprint(n, q, lo, hi)
-                outside = [graded[t] for t in range(n + 1) if not lo <= t <= hi]
-                assert g == tuple(map(sum, zip(*outside))) if outside else g == (0,) * q**n
-                assert spectra.project_span(GridFunction(n, q, g), lo, hi).is_zero()
+                kappa = search._complement_kernel(n, q, lo, hi)
+                expected = tuple(sum(kappa[d] * v for d, v in zip(row, w)) for row in distances)
+                assert search._fingerprint(n, q, lo, hi) == expected, (n, q, lo, hi)
 
 
 class TestExactCheck:

@@ -28,6 +28,7 @@ from hammingsupport import (
     project_eigenspace,
     project_span,
     spectral_profile,
+    spectra,
 )
 from hammingsupport.core import ScaleError
 
@@ -294,6 +295,18 @@ class TestEngineAgainstOracle:
                 )
                 assert expected == all(lo <= i <= hi for i in kept)
                 assert in_direct_sum(g, lo, hi) == expected
+
+
+class TestGradedTop:
+    """`_graded(f, top)` drops the weights from top on, and keeps the ones below exact."""
+
+    @pytest.mark.parametrize("n,q", _oracle_shapes())
+    def test_prefix_of_the_full_transform(self, n, q, rng):
+        f = _rational_values(n, q, rng)
+        full = spectra._graded(f, n + 1)
+        assert len(full) == n + 1
+        for top in range(1, n + 2):
+            assert spectra._graded(f, top) == full[:top], top
 
 
 class TestBeyondOldCap:
