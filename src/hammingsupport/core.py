@@ -26,9 +26,12 @@ The HGF text format round-trips any GridFunction:
     "#" starts a comment; blank lines are ignored.
 
 The layout `dumps_hgf` writes is the fast case of `loads_hgf`: with no
-comment, single spaces, integer values and q <= 10 (one character per
-symbol) it is read in whole-list passes.  Every other valid layout still
-parses, line by line, and that reader gives every error message.
+comment, single spaces, `num` or `num/den` values with den > 0 and q <= 10
+(one character per symbol) it is read in whole-list passes, a dense file
+checked against the texts of the words it must hold.  Every other valid
+layout (comments, blank lines, extra whitespace, q > 10, negative
+denominators) still parses, line by line, and that reader gives every
+error message.
 
 Every constructor and the parser reject q^n above MAX_VERTICES before they
 allocate anything.
@@ -41,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress, islice, product, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, lt, neg, sub
+from operator import add, itemgetter, lt, methodcaller, mul, neg, sub
 from typing import Callable, Iterator, Mapping, Sequence
 
 Word = tuple[int, ...]
@@ -412,26 +415,51 @@ def loads_hgf(text: str) -> GridFunction:
 def _loads_canonical(text: str) -> GridFunction | None:
     """The function of an HGF text in the layout `dumps_hgf` writes, or None.
 
-    Accepted: no "#" or "/" anywhere, the header "n q" with n >= 1 and
+    Accepted: no "#" anywhere, the header "n q" with n >= 1 and
     2 <= q <= 10, then entry lines of n one-character symbols in 0..q-1 and
-    an integer value, all separated by single spaces, in strictly increasing
-    index order and with no zero value.  The header is checked before the
-    text is split, so other layouts cost almost nothing here.  Each test on
-    the entries runs over the whole line list at once.  The value token is
-    everything after the symbols, so a line with too many tokens fails `int`.
+    a value "num" or "num/den" with den > 0, all separated by single
+    spaces, in strictly increasing index order and with no zero value.  The
+    header is checked before the text is split, so other layouts cost
+    almost nothing here.  The value text is everything after the symbols,
+    so a line with too many tokens fails `int`.  A text holding "/" must
+    also be ASCII with no tab and exactly n spaces per entry line (one in
+    the header), so no value text holds a space or a tab, the only
+    whitespace `int` strips inside an ASCII line.
+
+    With exactly q^n entry lines (a dense file) the symbols are checked
+    against the word texts: in each block of q^ceil(n/2) lines, which share
+    their high coordinates, line b must begin with high[a] + low[b]
+    (`_half_words`), one prefix slice per line and one list compare per
+    block.  Otherwise (a sparse file) the separators, the symbol set and the
+    order of the indices `int(symbols, q)` are tested over the whole line
+    list.  Integer values are read in one pass of `int`; with a "/" in the
+    text, a chunk at a time, each value split by one `partition` and both
+    halves read by `int` (`_fraction_values`), the denominator being one
+    `lcm` of them.
 
     Soundness: `_loads_lines` accepts every text this accepts and builds the
     same function.  The header matches its canonical text, so the loop reads
     the same n and q.  On an entry line the loop's tokens are the n symbol
-    characters, then the value slice split on whitespace.  A slice that
-    `int` accepts is one numeral between optional whitespace, so the loop
-    reads the same value from it.  The symbol-set test keeps out what
-    `int(s, q)` would also take (signs, "_", whitespace), so `int(symbols, q)`
-    is the positional index the loop computes, and the zero, order and
-    duplicate tests are the loop's.  Anything else returns None, and the
-    caller hands the text to `_loads_lines`, the only source of HGFError.
+    characters, then the value text split on whitespace.  An integer text
+    that `int` accepts is one numeral between optional whitespace, so the
+    loop reads the same value from it.  A text with "/" holds no whitespace
+    that `int` would strip, so if `int` takes both halves it is the loop's
+    token; the loop splits it at its first "/" as
+    `partition` does and takes `int` of both halves, so it reads the same
+    fraction, and den > 0 makes a zero numerator exactly a zero value.  A
+    dense line b of block a begins with the text of word a q^ceil(n/2) + b,
+    so the loop reads that word and index, and the indices run 0, 1, ...,
+    q^n - 1, strictly increasing.  On a sparse file the symbol-set test
+    keeps out what `int(s, q)` would also take (signs, "_", whitespace), so
+    `int(symbols, q)` is the positional index the loop computes, and the
+    order and duplicate tests are the loop's.  The loop's numerators over
+    the lcm of the reduced denominators and these over the lcm of the
+    written ones give the same function, which `GridFunction._reduced`
+    stores one way.  Anything else returns None (a zero or negative
+    denominator included), and the caller hands the text to
+    `_loads_lines`, the only source of HGFError.
     """
-    if "#" in text or "/" in text:
+    if "#" in text:
         return None
     end = text.find("\n")
     header = (text if end < 0 else text[:end]).removesuffix("\r")
@@ -443,30 +471,74 @@ def _loads_canonical(text: str) -> GridFunction | None:
         return None
     entries = text.splitlines()
     del entries[0]  # the header
+    fractions = "/" in text
+    if fractions and (
+        not text.isascii() or "\t" in text or text.count(" ") != 1 + n * len(entries)
+    ):
+        return None
     width = 2 * n
-    if set(map(itemgetter(slice(1, width, 2)), entries)) - {" " * n}:
-        return None
-    # the symbol strings are streamed twice rather than held: together they
-    # are as large as the text
-    symbols = itemgetter(slice(0, width, 2))
-    if not set(chain.from_iterable(map(symbols, entries))) <= set("0123456789"[:q]):
-        return None
+    size = q**n
+    dense = len(entries) == size
+    if dense:
+        high, low = _half_words(n, q)
+        step = len(low)
+        word = itemgetter(slice(0, width))
+        for a, prefix in enumerate(high):
+            block = entries[a * step : (a + 1) * step]
+            if list(map(word, block)) != list(map(prefix.__add__, low)):
+                return None
+    else:
+        if set(map(itemgetter(slice(1, width, 2)), entries)) - {" " * n}:
+            return None
+        # the symbol strings are streamed twice rather than held: together
+        # they are as large as the text
+        symbols = itemgetter(slice(0, width, 2))
+        if not set(chain.from_iterable(map(symbols, entries))) <= set("0123456789"[:q]):
+            return None
+    texts = map(itemgetter(slice(width, None)), entries)
     try:
-        values = list(map(int, map(itemgetter(slice(width, None)), entries)))
+        nums, dens = _fraction_values(texts) if fractions else (list(map(int, texts)), [])
     except ValueError:
         return None
-    indices = list(map(int, map(symbols, entries), repeat(q)))
-    del entries  # as large as the text; not needed for the q^n arrays
-    if not all(values) or not all(map(lt, indices, islice(indices, 1, None))):
+    if not all(nums) or min(dens, default=1) < 1:
         return None
-    size = q**n
-    if len(values) == size:
-        nums = values
-    else:
-        nums = [0] * size
+    if not dense:
+        indices = list(map(int, map(symbols, entries), repeat(q)))
+        if not all(map(lt, indices, islice(indices, 1, None))):
+            return None
+    del entries  # as large as the text; not needed for the q^n arrays
+    den = lcm(*set(dens))
+    if den != 1:
+        nums = list(map(mul, nums, map(den.__floordiv__, dens)))
+    del dens
+    if not dense:
+        values, nums = nums, [0] * size
         for index, v in zip(indices, values):
             nums[index] = v
-    return GridFunction._reduced(n, q, nums)
+    return GridFunction._reduced(n, q, nums, den)
+
+
+# the text appended to a value's denominator text, by what `partition` found:
+# "num" reads as "num/1", while "num/" keeps its empty text, which `int` rejects
+_IMPLICIT_DEN = {"": "1", "/": ""}
+# value texts split at a time by `_fraction_values`
+_FRACTION_CHUNK = 4096
+
+
+def _fraction_values(texts: Iterator[str]) -> tuple[list[int], list[int]]:
+    """The numerators and denominators of value texts "num" or "num/den".
+
+    Each text is split at its first "/" and both halves go through `int`,
+    which raises ValueError on a bad half.  The split parts of one chunk of
+    texts are held at a time, not those of the whole file.
+    """
+    nums: list[int] = []
+    dens: list[int] = []
+    while parts := list(map(methodcaller("partition", "/"), islice(texts, _FRACTION_CHUNK))):
+        nums += map(int, map(itemgetter(0), parts))
+        implicit = map(_IMPLICIT_DEN.__getitem__, map(itemgetter(1), parts))
+        dens += map(int, map(add, map(itemgetter(2), parts), implicit))
+    return nums, dens
 
 
 def _parse_value(token: str, lineno: int) -> int | Fraction:

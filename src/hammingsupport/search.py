@@ -309,8 +309,10 @@ def _fingerprint(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
     """G = M w, for the fixed product w = w_0 (x) ... (x) w_{n-1}, w_j(a) = 31 (a+1)^3 + (j+1)^2 (a+1) + j.
 
     M = q^n I - sum over t in [lo,hi] of q^n E_t, so G is q^n w less the
-    arrays lo..hi of w's graded transform (`spectra._graded`, which stops
-    at weight hi).  G is a row of M's row space, so every column
+    arrays lo..hi of w's graded transform (`spectra._graded`).  The
+    transform runs from the cheaper end: forward it stops at weight hi
+    (hi + 1 arrays), mirrored at weight lo (n - lo + 1 arrays, weights n
+    down to lo).  G is a row of M's row space, so every column
     dependency of M holds on G.  Each factor has distinct entries,
     increasing in a, and no two factors are proportional, so no
     automorphism but the identity fixes w.  Factors with
@@ -323,7 +325,12 @@ def _fingerprint(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
     w = [1]
     for j in range(n):
         w = [v * (31 * (a + 1) ** 3 + (j + 1) ** 2 * (a + 1) + j) for v in w for a in range(q)]
-    inside = map(sum, zip(*spectra._graded(GridFunction._reduced(n, q, w), hi + 1)[lo:]))
+    f = GridFunction._reduced(n, q, w)
+    if hi <= n - lo:
+        window = spectra._graded(f, hi + 1)[lo:]
+    else:
+        window = spectra._graded(f, n - lo + 1, mirrored=True)[n - hi :]
+    inside = map(sum, zip(*window))
     return tuple(map(sub, map((q**n).__mul__, w), inside))
 
 

@@ -34,7 +34,10 @@ only integer additions and multiplications were used.  So array w is
 exactly den * q^n * E_w f.  No pass moves an array to a lower weight, so an
 array of weight top or more is dropped as it appears: each caller passes
 one more than the highest weight it reads (i + 1 for E_i f, n + 1 for all
-of them).  The cost is O(n * top * q^n) and no table is built.
+of them).  The cost is O(n * top * q^n) and no table is built.  The
+mirrored pass swaps the parts: the mean part moves up and the deviation
+part stays, so array r counts the coordinates given the mean and is
+den * q^n * E_(n-r) f, and the high weights n, n-1, ... come first.
 
 Slice descent.  Split f on its last coordinate into the slices
 f_0, ..., f_{q-1}, functions on H(n-1,q), and let e_k be the point mass at
@@ -135,35 +138,41 @@ def _split_last(g: list[int], q: int) -> tuple[list[list[int]], list[int]]:
     return fibers, list(map(sum, zip(*fibers)))
 
 
-def _graded(f: GridFunction, top: int) -> list[list[int]]:
+def _graded(f: GridFunction, top: int, mirrored: bool = False) -> list[list[int]]:
     """graded[w] = f.den * q^n * E_w f as integers, for w = 0..min(n, top - 1).
 
     A pass moves an array to the same weight or the next one, never lower,
     so the arrays of weight top and above feed none below and are dropped as
-    soon as they appear.
+    soon as they appear.  `mirrored` swaps the two parts, the mean part
+    moving up and the deviation part staying, so array r counts the
+    coordinates given the mean: graded[r] = f.den * q^n * E_(n-r) f.
     """
     n, q = f.n, f.q
     graded = [f.nums]
     for _ in range(n):
         out = []
-        prev_fibers: list[list[int]] = []
-        prev_sums: list[int] = []
-        for w, g in enumerate(graded):
-            fibers, sums = _split_last(g, q)
-            if w == 0:
-                out.append(sums * q)
-            else:
-                # mean part of weight w plus deviation part of weight w-1
-                out.append([
-                    t + q * v - u
-                    for fiber in prev_fibers
-                    for v, u, t in zip(fiber, prev_sums, sums)
-                ])
-            prev_fibers, prev_sums = fibers, sums
-        if len(graded) < top:
-            out.append([q * v - u for fiber in prev_fibers for v, u in zip(fiber, prev_sums)])
+        prev = None
+        # a None past the last array takes the part of it that moves up
+        for g in graded + [None] * (len(graded) < top):
+            cur = None if g is None else _split_last(g, q)
+            # the part of prev that moves up lands with the part of g that stays
+            out.append(_parts_sum(cur, prev, q) if mirrored else _parts_sum(prev, cur, q))
+            prev = cur
         graded = out
     return graded
+
+
+def _parts_sum(deviation, mean, q: int) -> list[int]:
+    """q P1 g + q P0 h on the last coordinate, from the `_split_last` of g and of h.
+
+    Either may be None for a zero array, not both.
+    """
+    if deviation is None:
+        return mean[1] * q
+    fibers, sums = deviation
+    if mean is None:
+        return [q * v - u for fiber in fibers for v, u in zip(fiber, sums)]
+    return [q * v - u + t for fiber in fibers for v, u, t in zip(fiber, sums, mean[1])]
 
 
 def project_eigenspace(f: GridFunction, i: int) -> GridFunction:

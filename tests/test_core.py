@@ -318,7 +318,16 @@ ENTRY_VALUES = st.one_of(st.integers(-120, 120), st.integers(-(10**30), 10**30))
 # one-character texts that int(symbols, q) would read inside a longer string,
 # then whole tokens the line loop reads or rejects
 SYMBOL_TEXTS = ["_", "+", "-", " ", "\t", "+1", "01", "1_0", "a", "10", "12", "9", "٣"]
-VALUE_TEXTS = ["+5", "-0", "0", "00", "1_000", "1/2", "2/4", "4/0", "5 6", "", "_1", "٥", "x"]
+VALUE_TEXTS = [
+    "+5", "-0", "0", "00", "1_000", "1/2", "2/4", "4/0", "5 6", "", "_1", "٥", "x",
+    "1/-2", "0/5", "1/2/3", "2/", "/2", "+1/+2", "1/ 2", "-3/0_6",
+]
+
+
+# the text dumps_hgf writes for the nine values 1/6, 2/6, ..., 9/6 at (2, 3)
+DENSE_SIXTHS = (
+    "2 3\n0 0 1/6\n0 1 1/3\n0 2 1/2\n1 0 2/3\n1 1 5/6\n1 2 1\n2 0 7/6\n2 1 4/3\n2 2 3/2\n"
+)
 
 
 def _outcome(parse, text):
@@ -399,7 +408,8 @@ class TestHGFBulkPass:
         # reads; a repeated or swapped line is what the order test must catch
         n, q = data.draw(HGF_SHAPES)
         nums = data.draw(st.lists(st.integers(-120, 120), min_size=q**n, max_size=q**n))
-        lines = dumps_hgf(GridFunction(n, q, nums)).split("\n")[:-1]
+        den = data.draw(st.sampled_from([1, 6]))
+        lines = dumps_hgf(GridFunction(n, q, [Fraction(v, den) for v in nums])).split("\n")[:-1]
         i = data.draw(st.integers(0, len(lines) - 1))
         j = data.draw(st.integers(0, len(lines) - 1))
         edit = data.draw(st.sampled_from(["character", "repeat line", "swap lines"]))
@@ -420,6 +430,10 @@ class TestHGFBulkPass:
         "16 2\n" + "1 " * 16 + "-1\n",
         "2 3\n",
         "2 3\r\n0 1 5\r\n2 2 -4",
+        "3 3\n0 1 1 1/2\n",
+        DENSE_SIXTHS,
+        "3 3\n0 0 1 -1/6\n1 2 0 5/3\n2 2 2 7\n",
+        "2 3\n0 0 +1/+6\n0 2 1_0/0_3\n1 1 2/4\n",
     ])
     def test_canonical_text_takes_the_bulk_pass(self, text):
         f = core._loads_canonical(text)
@@ -437,7 +451,20 @@ class TestHGFBulkPass:
         "3 3\n0 1 1 5 6\n",  # a token too many
         "3 3\n0 1 5\n",  # a token too few
         "3 3\n0 1  1 5\n",  # doubled space
-        "3 3\n0 1 1 1/2\n",  # a fraction
+        "3 3\n0 1 1 1 /2\n",  # whitespace around "/"
+        "3 3\n0 1 1 1/ 2\n",
+        "3 3\n0 1 1 1/\t2\n",
+        "3 3\n0 1 1 1/2 \n",  # trailing whitespace after a fraction
+        "3 3\n0 1 1 1/\u00a02\n",  # non-ASCII whitespace
+        "3 3\n0 1 1 1/0\n",  # zero denominator
+        "3 3\n0 1 1 0/5\n",  # zero value
+        "3 3\n0 1 1 1/2/3\n",
+        "3 3\n0 1 1 /2\n",
+        "3 3\n0 1 1 2/\n",
+        "3 3\n0 1 1 1/-2\n",  # negative denominator
+        DENSE_SIXTHS.replace("1 0 2/3", "1 2 2/3"),  # one symbol changed
+        DENSE_SIXTHS.replace("0 1 1/3\n0 2 1/2", "0 2 1/2\n0 1 1/3"),  # two lines swapped
+        DENSE_SIXTHS.replace("2 2 3/2", "2 2 3/2 1"),  # a token too many
         "3 3\n0 1 1 5  # entry\n",  # a comment
         "3  3\n0 1 1 5\n",  # header layout
         "0 3\n5\n",  # n = 0
@@ -445,6 +472,29 @@ class TestHGFBulkPass:
     def test_other_layouts_go_to_the_line_loop(self, text):
         assert core._loads_canonical(text) is None
         assert _outcome(loads_hgf, text) == _outcome(core._loads_lines, text)
+
+    @pytest.mark.parametrize("den", [1, 6])
+    def test_peak_memory_within_the_line_loop(self, den, rng):
+        # a dense file at the vertex cap: the bulk pass holds the line list,
+        # two int lists and the split parts of one chunk of values, never
+        # those of every line.  (8, 4) rather than (16, 2) halves the loop's
+        # tokens, which tracemalloc makes slow to allocate
+        nums = [rng.choice([-3, -1, 1, 2, 7, 250, 10**6]) for _ in range(2**16)]
+        expected = GridFunction._reduced(8, 4, nums, den)
+        text = dumps_hgf(expected)
+        assert core._loads_canonical(text) is not None
+        peaks = []
+        for parse in (loads_hgf, core._loads_lines):
+            tracemalloc.start()
+            try:
+                f = parse(text)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert f == expected
+            del f
+            peaks.append(peak)
+        assert peaks[0] <= peaks[1], peaks
 
     @pytest.mark.parametrize("n, q", [(0, 2), (1, 2), (1, 16), (2, 3), (3, 10), (5, 2), (2, 11)])
     def test_dumps_matches_the_entrywise_writer(self, n, q, rng):

@@ -862,6 +862,35 @@ def _small_shapes(limit):
 class TestFingerprint:
     """The extra row G of the last level against M w, with M built entry by entry."""
 
+    def test_high_window_built_from_the_top(self):
+        # G at (16, 2, 15, 15) runs the mirrored transform, two arrays of
+        # q^n entries; the forward one kept sixteen and peaked at 136 MB.
+        # The digest is that of the forward transform's G.  A spawned
+        # process's ru_maxrss counts the process that spawned it (Linux
+        # keeps it across exec), so G is built in a fork, which starts afresh
+        script = (
+            "import hashlib, os, resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "limit = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+            "if os.fork():\n"
+            "    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))\n"
+            "from hammingsupport import search\n"
+            "G = search._fingerprint(16, 2, 15, 15)\n"
+            "print(hashlib.sha256(repr(G).encode()).hexdigest()[:16])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr[-500:]
+        digest, maxrss_kb = done.stdout.split()
+        assert digest == "c52bc5b412aa3e24"
+        assert int(maxrss_kb) < 80 * 1024
+
     @pytest.mark.parametrize("n, q", _small_shapes(81))
     def test_equals_brute_force_m_w(self, n, q):
         w = [1]

@@ -298,7 +298,10 @@ class TestEngineAgainstOracle:
 
 
 class TestGradedTop:
-    """`_graded(f, top)` drops the weights from top on, and keeps the ones below exact."""
+    """`_graded(f, top)` drops the weights from top on, and keeps the ones below exact.
+
+    Mirrored, it keeps the weights n down to n - top + 1.
+    """
 
     @pytest.mark.parametrize("n,q", _oracle_shapes())
     def test_prefix_of_the_full_transform(self, n, q, rng):
@@ -307,6 +310,7 @@ class TestGradedTop:
         assert len(full) == n + 1
         for top in range(1, n + 2):
             assert spectra._graded(f, top) == full[:top], top
+            assert spectra._graded(f, top, mirrored=True) == full[::-1][:top], top
 
 
 class TestBeyondOldCap:
