@@ -497,8 +497,8 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 1
         return 0 if exc.code is None else int(exc.code)
-    except (ValueError, OSError) as exc:  # HGFError, RegimeError and ScaleError among them
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # HGFError, RegimeError and ScaleError among them
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

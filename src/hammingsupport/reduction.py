@@ -44,7 +44,7 @@ from operator import ne, sub
 from typing import Optional, Sequence
 
 from .core import GridFunction
-from .spectra import _nonzero_weights, in_direct_sum, validate_range
+from .spectra import _in_window, in_direct_sum, validate_range
 
 
 def slice_lists(nums: Sequence[int], n: int, q: int, r: int) -> list[list[int]]:
@@ -101,13 +101,6 @@ def is_uniform(f: GridFunction) -> UniformityReport:
         else:
             witnesses.append(differ[0] if len(differ) == 1 else None)
     return UniformityReport(all(w is not None for w in witnesses), tuple(witnesses))
-
-
-def _in_window(g: list[int], n: int, q: int, lo: int, hi: int) -> bool:
-    """Membership of the q^n integers g in U_[lo,hi](n, q), the window clipped to [0, n]."""
-    lo, hi = max(lo, 0), min(hi, n)
-    window = (2 << hi) - (1 << lo) if lo <= hi else 0
-    return not _nonzero_weights(g, n, q, ~window, True)
 
 
 @dataclass(frozen=True)

@@ -308,11 +308,15 @@ def _complement_kernel(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
 def _fingerprint(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
     """G = M w, for the fixed product w = w_0 (x) ... (x) w_{n-1}, w_j(a) = 31 (a+1)^3 + (j+1)^2 (a+1) + j.
 
-    M = q^n I - sum over t in [lo,hi] of q^n E_t, so G is q^n w less the
-    arrays lo..hi of w's graded transform (`spectra._graded`).  The
-    transform runs from the cheaper end: forward it stops at weight hi
-    (hi + 1 arrays), mirrored at weight lo (n - lo + 1 arrays, weights n
-    down to lo).  G is a row of M's row space, so every column
+    M = q^n I - sum over t in [lo,hi] of q^n E_t.  q^n E_t is the sum over
+    |S| = t of (q P1 on S) (x) (q P0 off S) (`spectra`), which acts on the
+    product w factor by factor: with m_j = J w_j and d_j = q w_j - J w_j,
+    q^n E_t w is the coefficient of u^t in (m_0 + u d_0) (x) ... (x) (m_{n-1} + u d_{n-1}).
+    It is expanded one coordinate at a time, one array per degree: degree t
+    becomes (degree t) (x) m_j + (degree t - 1) (x) d_j, so a degree never
+    falls and rises by at most one per coordinate.  One above hi, or below
+    lo - c with c coordinates to come, never reaches [lo, hi] and is not
+    formed.  G = q^n w - (arrays lo..hi) lies in M's row space, so every column
     dependency of M holds on G.  Each factor has distinct entries,
     increasing in a, and no two factors are proportional, so no
     automorphism but the identity fixes w.  Factors with
@@ -322,15 +326,17 @@ def _fingerprint(n: int, q: int, lo: int, hi: int) -> tuple[int, ...]:
     candidates for w_j(a) = (a + 1)(a + j + 2); a scaled copy of one factor
     per coordinate gave tens of thousands.
     """
-    w = [1]
+    w, degrees, zero = [1], {0: [1]}, repeat(0)
     for j in range(n):
-        w = [v * (31 * (a + 1) ** 3 + (j + 1) ** 2 * (a + 1) + j) for v in w for a in range(q)]
-    f = GridFunction._reduced(n, q, w)
-    if hi <= n - lo:
-        window = spectra._graded(f, hi + 1)[lo:]
-    else:
-        window = spectra._graded(f, n - lo + 1, mirrored=True)[n - hi :]
-    inside = map(sum, zip(*window))
+        factor = [31 * (a + 1) ** 3 + (j + 1) ** 2 * (a + 1) + j for a in range(q)]
+        w = [v * x for v in w for x in factor]
+        mean = sum(factor)
+        deviation = [q * x - mean for x in factor]
+        old, degrees = degrees, {}
+        for t in range(max(lo - (n - 1 - j), 0), min(hi, j + 1) + 1):
+            pairs = zip(old.get(t, zero), old.get(t - 1, zero))
+            degrees[t] = [mean * v + u * x for v, u in pairs for x in deviation]
+    inside = map(sum, zip(*degrees.values()))
     return tuple(map(sub, map((q**n).__mul__, w), inside))
 
 

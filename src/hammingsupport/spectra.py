@@ -34,10 +34,7 @@ only integer additions and multiplications were used.  So array w is
 exactly den * q^n * E_w f.  No pass moves an array to a lower weight, so an
 array of weight top or more is dropped as it appears: each caller passes
 one more than the highest weight it reads (i + 1 for E_i f, n + 1 for all
-of them).  The cost is O(n * top * q^n) and no table is built.  The
-mirrored pass swaps the parts: the mean part moves up and the deviation
-part stays, so array r counts the coordinates given the mean and is
-den * q^n * E_(n-r) f, and the high weights n, n-1, ... come first.
+of them).  The cost is O(n * top * q^n) and no table is built.
 
 Slice descent.  Split f on its last coordinate into the slices
 f_0, ..., f_{q-1}, functions on H(n-1,q), and let e_k be the point mass at
@@ -138,14 +135,12 @@ def _split_last(g: list[int], q: int) -> tuple[list[list[int]], list[int]]:
     return fibers, list(map(sum, zip(*fibers)))
 
 
-def _graded(f: GridFunction, top: int, mirrored: bool = False) -> list[list[int]]:
+def _graded(f: GridFunction, top: int) -> list[list[int]]:
     """graded[w] = f.den * q^n * E_w f as integers, for w = 0..min(n, top - 1).
 
     A pass moves an array to the same weight or the next one, never lower,
     so the arrays of weight top and above feed none below and are dropped as
-    soon as they appear.  `mirrored` swaps the two parts, the mean part
-    moving up and the deviation part staying, so array r counts the
-    coordinates given the mean: graded[r] = f.den * q^n * E_(n-r) f.
+    soon as they appear.
     """
     n, q = f.n, f.q
     graded = [f.nums]
@@ -156,7 +151,7 @@ def _graded(f: GridFunction, top: int, mirrored: bool = False) -> list[list[int]
         for g in graded + [None] * (len(graded) < top):
             cur = None if g is None else _split_last(g, q)
             # the part of prev that moves up lands with the part of g that stays
-            out.append(_parts_sum(cur, prev, q) if mirrored else _parts_sum(prev, cur, q))
+            out.append(_parts_sum(prev, cur, q))
             prev = cur
         graded = out
     return graded
@@ -207,8 +202,14 @@ def in_direct_sum(f: GridFunction, lo: int, hi: int) -> bool:
     nonzero function must check support separately.
     """
     validate_range(f.n, lo, hi)
-    outside = ((2 << f.n) - 1) ^ ((2 << hi) - (1 << lo))
-    return not _nonzero_weights(f.nums, f.n, f.q, outside, True)
+    return _in_window(f.nums, f.n, f.q, lo, hi)
+
+
+def _in_window(g: Sequence[int], n: int, q: int, lo: int, hi: int) -> bool:
+    """Membership of the q^n integers g in U_[lo,hi](n, q), the window clipped to [0, n]."""
+    lo, hi = max(lo, 0), min(hi, n)
+    window = (2 << hi) - (1 << lo) if lo <= hi else 0
+    return not _nonzero_weights(g, n, q, ~window, True)
 
 
 def _nonzero_weights(g: Sequence[int], n: int, q: int, want: int, first: bool) -> int:

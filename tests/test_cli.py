@@ -32,14 +32,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv, timeout=60):
-    """The CLI in a fresh interpreter, so a slow run is cut at `timeout` seconds."""
+def run_process(*argv, timeout=60, preexec_fn=None):
+    """The CLI in a fresh interpreter, so a slow run is cut at `timeout` seconds.
+
+    `preexec_fn` runs in the child before the interpreter starts.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-m", "hammingsupport.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -475,6 +478,25 @@ class TestMinsupport:
         )
         assert code == 2
         assert time.perf_counter() - start < 15.0
+
+    def test_out_of_memory_is_one_error_line(self):
+        # at n = 16 the residue lists of the search outgrow a 150 MB address
+        # space within seconds; that ends in one error line, not a traceback
+        import resource
+
+        def cap_address_space():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            limit = 150 * 2**20 if hard == resource.RLIM_INFINITY else min(150 * 2**20, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        code, stdout, stderr = run_process(
+            "minsupport", "--n", "16", "--q", "2", "--lo", "1", "--hi", "1",
+            "--max-subsets", "2000", timeout=120, preexec_fn=cap_address_space,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
 
     def test_one_coordinate_at_the_vertex_cap(self):
         # n = 1, q = 65536: the setup of a search, the fingerprint and the

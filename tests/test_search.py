@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -862,12 +863,17 @@ def _small_shapes(limit):
 class TestFingerprint:
     """The extra row G of the last level against M w, with M built entry by entry."""
 
-    def test_high_window_built_from_the_top(self):
-        # G at (16, 2, 15, 15) runs the mirrored transform, two arrays of
-        # q^n entries; the forward one kept sixteen and peaked at 136 MB.
-        # The digest is that of the forward transform's G.  A spawned
-        # process's ru_maxrss counts the process that spawned it (Linux
-        # keeps it across exec), so G is built in a fork, which starts afresh
+    @pytest.mark.parametrize(
+        "window, digest", [((16, 2, 15, 15), "c52bc5b412aa3e24"), ((16, 2, 8, 8), "fceff88780bf7653")]
+    )
+    def test_built_in_little_memory(self, window, digest):
+        # at q^n = 65536 the graded transform of the dense w kept up to
+        # sixteen arrays of q^n entries and peaked at 136 MB, 83 MB at
+        # (16, 2, 8, 8).  Expanded factor by factor, a one-degree window
+        # holds one such array beside w.  The digests are those of the
+        # graded transform's G.  A spawned process's ru_maxrss counts the
+        # process that spawned it (Linux keeps it across exec), so G is
+        # built in a fork, which starts afresh
         script = (
             "import hashlib, os, resource, sys\n"
             "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
@@ -876,7 +882,7 @@ class TestFingerprint:
             "if os.fork():\n"
             "    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))\n"
             "from hammingsupport import search\n"
-            "G = search._fingerprint(16, 2, 15, 15)\n"
+            f"G = search._fingerprint{window}\n"
             "print(hashlib.sha256(repr(G).encode()).hexdigest()[:16])\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
@@ -887,9 +893,23 @@ class TestFingerprint:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr[-500:]
-        digest, maxrss_kb = done.stdout.split()
-        assert digest == "c52bc5b412aa3e24"
-        assert int(maxrss_kb) < 80 * 1024
+        got, maxrss_kb = done.stdout.split()
+        assert got == digest
+        assert int(maxrss_kb) < 60 * 1024
+
+    @pytest.mark.parametrize(
+        "window, digest",
+        [
+            ((16, 2, 4, 16), "78da9dc7727bf3ff"),
+            ((8, 4, 2, 6), "3df6dfb352257efc"),
+            ((4, 16, 2, 2), "e2b3826bc7e252c6"),
+            ((2, 256, 1, 1), "7af367a7487cace4"),
+        ],
+    )
+    def test_pinned_beyond_brute_force(self, window, digest):
+        # digests of the graded transform's G, at shapes too large for M
+        G = search._fingerprint(*window)
+        assert hashlib.sha256(repr(G).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("n, q", _small_shapes(81))
     def test_equals_brute_force_m_w(self, n, q):
