@@ -25,13 +25,12 @@ The HGF text format round-trips any GridFunction:
                        "s1 s2 ... sn value"  with value "num" or "num/den"
     "#" starts a comment; blank lines are ignored.
 
-The layout `dumps_hgf` writes is the fast case of `loads_hgf`: with no
-comment, single spaces, `num` or `num/den` values with den > 0 and q <= 10
-(one character per symbol) it is read in whole-list passes, a dense file
-checked against the texts of the words it must hold.  Every other valid
-layout (comments, blank lines, extra whitespace, q > 10, negative
-denominators) still parses, line by line, and that reader gives every
-error message.
+Every text `dumps_hgf` writes with q <= 10 (one character per symbol),
+n = 0 included, is the fast case of `loads_hgf`: it is read in whole-list
+passes, each line's word checked against the text of its index.  Every
+other valid layout (comments, blank lines, tabs or extra spaces anywhere,
+non-ASCII text, q > 10, negative denominators) still parses, line by line,
+and that reader gives every error message.
 
 Every constructor and the parser reject q^n above MAX_VERTICES before they
 allocate anything.
@@ -42,9 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, compress, islice, product, repeat
+from itertools import compress, islice, product, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, lt, methodcaller, mul, neg, sub
+from operator import add, eq, itemgetter, lt, methodcaller, mul, neg, sub
 from typing import Callable, Iterator, Mapping, Sequence
 
 Word = tuple[int, ...]
@@ -415,51 +414,50 @@ def loads_hgf(text: str) -> GridFunction:
 def _loads_canonical(text: str) -> GridFunction | None:
     """The function of an HGF text in the layout `dumps_hgf` writes, or None.
 
-    Accepted: no "#" anywhere, the header "n q" with n >= 1 and
-    2 <= q <= 10, then entry lines of n one-character symbols in 0..q-1 and
-    a value "num" or "num/den" with den > 0, all separated by single
-    spaces, in strictly increasing index order and with no zero value.  The
-    header is checked before the text is split, so other layouts cost
-    almost nothing here.  The value text is everything after the symbols,
-    so a line with too many tokens fails `int`.  A text holding "/" must
-    also be ASCII with no tab and exactly n spaces per entry line (one in
-    the header), so no value text holds a space or a tab, the only
-    whitespace `int` strips inside an ASCII line.
+    Accepted: an ASCII text with no "#" and no tab, the header "n q" with
+    n >= 0 and 2 <= q <= 10, and exactly 1 + n (entry lines) spaces.  Each
+    entry line begins with the text of its word (`_half_words`: n symbols,
+    each followed by one space), the words in strictly increasing index
+    order, and the rest of the line is a value "num" or "num/den" with
+    den > 0 and no zero value.  The header is checked before the text is
+    split, so other layouts cost almost nothing here.
 
-    With exactly q^n entry lines (a dense file) the symbols are checked
-    against the word texts: in each block of q^ceil(n/2) lines, which share
-    their high coordinates, line b must begin with high[a] + low[b]
-    (`_half_words`), one prefix slice per line and one list compare per
-    block.  Otherwise (a sparse file) the separators, the symbol set and the
-    order of the indices `int(symbols, q)` are tested over the whole line
-    list.  Integer values are read in one pass of `int`; with a "/" in the
-    text, a chunk at a time, each value split by one `partition` and both
-    halves read by `int` (`_fraction_values`), the denominator being one
-    `lcm` of them.
+    With exactly q^n entry lines (a dense file) the index of a line is its
+    position: in each block of q^ceil(n/2) lines, which share their high
+    coordinates, line b must begin with high[a] + low[b], one prefix slice
+    per line and one list compare per block.  Otherwise (a sparse file) the
+    index of a line is what `int(symbols, q)` reads from its symbol
+    characters; the indices must increase strictly, and each line is
+    compared with the text of its index in one streamed pass.  Integer
+    values are read in one pass of `int`; with a "/" in the text, a chunk
+    at a time, each value split by one `partition` and both halves read by
+    `int` (`_fraction_values`), the denominator being one `lcm` of them.
 
     Soundness: `_loads_lines` accepts every text this accepts and builds the
     same function.  The header matches its canonical text, so the loop reads
-    the same n and q.  On an entry line the loop's tokens are the n symbol
-    characters, then the value text split on whitespace.  An integer text
-    that `int` accepts is one numeral between optional whitespace, so the
-    loop reads the same value from it.  A text with "/" holds no whitespace
-    that `int` would strip, so if `int` takes both halves it is the loop's
-    token; the loop splits it at its first "/" as
-    `partition` does and takes `int` of both halves, so it reads the same
-    fraction, and den > 0 makes a zero numerator exactly a zero value.  A
-    dense line b of block a begins with the text of word a q^ceil(n/2) + b,
-    so the loop reads that word and index, and the indices run 0, 1, ...,
-    q^n - 1, strictly increasing.  On a sparse file the symbol-set test
-    keeps out what `int(s, q)` would also take (signs, "_", whitespace), so
-    `int(symbols, q)` is the positional index the loop computes, and the
-    order and duplicate tests are the loop's.  The loop's numerators over
+    the same n and q.  Each entry line begins with a word text, which holds
+    n spaces, so the space count leaves none in a value text, and there is
+    no tab.  Inside an ASCII line those are the only whitespace `int`
+    accepts, so a value text whose parts `int` reads holds no whitespace,
+    integer or fraction, and the loop's tokens are the n symbol characters
+    and the value text.  It reads an integer as `int` does; it splits a
+    fraction at its first "/", as `partition` does, and takes `int` of both
+    halves, so it reads the same fraction, and den > 0 makes a zero
+    numerator exactly a zero value.  Suppose a line begins with the text of
+    index j: in a dense file j is the line's position, in a sparse one the
+    entry high[i // step] + low[i % step] for the index i `int` read (from
+    n characters `int` reads at most n digits below q, so |i| < q^n and the
+    entry exists, a negative i wrapping to some j >= 0).  Those symbol
+    characters are the digits of j, so `int` reads them as j, i = j, and the
+    loop reads the same word and index.  The indices increase strictly, as
+    the loop's order and duplicate tests demand.  The loop's numerators over
     the lcm of the reduced denominators and these over the lcm of the
     written ones give the same function, which `GridFunction._reduced`
     stores one way.  Anything else returns None (a zero or negative
     denominator included), and the caller hands the text to
     `_loads_lines`, the only source of HGFError.
     """
-    if "#" in text:
+    if "#" in text or "\t" in text or not text.isascii():
         return None
     end = text.find("\n")
     header = (text if end < 0 else text[:end]).removesuffix("\r")
@@ -467,45 +465,41 @@ def _loads_canonical(text: str) -> GridFunction | None:
         n, q = map(int, header.split(" "))
     except ValueError:
         return None
-    if header != f"{n} {q}" or n < 1 or not 2 <= q <= 10 or exceeds_vertex_cap(n, q):
+    if header != f"{n} {q}" or n < 0 or not 2 <= q <= 10 or exceeds_vertex_cap(n, q):
         return None
     entries = text.splitlines()
     del entries[0]  # the header
-    fractions = "/" in text
-    if fractions and (
-        not text.isascii() or "\t" in text or text.count(" ") != 1 + n * len(entries)
-    ):
+    if text.count(" ") != 1 + n * len(entries):
         return None
     width = 2 * n
     size = q**n
     dense = len(entries) == size
+    high, low = _half_words(n, q)
+    step = len(low)
+    word = itemgetter(slice(0, width))
     if dense:
-        high, low = _half_words(n, q)
-        step = len(low)
-        word = itemgetter(slice(0, width))
         for a, prefix in enumerate(high):
             block = entries[a * step : (a + 1) * step]
             if list(map(word, block)) != list(map(prefix.__add__, low)):
                 return None
     else:
-        if set(map(itemgetter(slice(1, width, 2)), entries)) - {" " * n}:
+        try:
+            indices = list(map(int, map(itemgetter(slice(0, width, 2)), entries), repeat(q)))
+        except ValueError:
             return None
-        # the symbol strings are streamed twice rather than held: together
-        # they are as large as the text
-        symbols = itemgetter(slice(0, width, 2))
-        if not set(chain.from_iterable(map(symbols, entries))) <= set("0123456789"[:q]):
+        # the word texts are streamed rather than held: together they are as
+        # large as the text
+        index_words = (high[i // step] + low[i % step] for i in indices)
+        increasing = all(map(lt, indices, islice(indices, 1, None)))
+        if not increasing or not all(map(eq, map(word, entries), index_words)):
             return None
     texts = map(itemgetter(slice(width, None)), entries)
     try:
-        nums, dens = _fraction_values(texts) if fractions else (list(map(int, texts)), [])
+        nums, dens = _fraction_values(texts) if "/" in text else (list(map(int, texts)), [])
     except ValueError:
         return None
     if not all(nums) or min(dens, default=1) < 1:
         return None
-    if not dense:
-        indices = list(map(int, map(symbols, entries), repeat(q)))
-        if not all(map(lt, indices, islice(indices, 1, None))):
-            return None
     del entries  # as large as the text; not needed for the q^n arrays
     den = lcm(*set(dens))
     if den != 1:

@@ -384,6 +384,24 @@ def _mutate(data, lines, n):
     return out
 
 
+def _assert_bulk_peak_within_the_line_loop(expected):
+    """loads_hgf takes the bulk pass on expected's text, peaking no higher than the loop."""
+    text = dumps_hgf(expected)
+    assert core._loads_canonical(text) is not None
+    peaks = []
+    for parse in (loads_hgf, core._loads_lines):
+        tracemalloc.start()
+        try:
+            f = parse(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f == expected
+        del f
+        peaks.append(peak)
+    assert peaks[0] <= peaks[1], peaks
+
+
 class TestHGFBulkPass:
     """The bulk pass for the layout dumps_hgf writes, against the line loop."""
 
@@ -424,6 +442,16 @@ class TestHGFBulkPass:
         text = "\n".join(lines) + "\n"
         assert _outcome(loads_hgf, text) == _outcome(core._loads_lines, text)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_written_text_takes_the_bulk_pass(self, data):
+        # n = 0, dense and sparse files, integer and den-6 values, q <= 10
+        n, q = data.draw(HGF_SHAPES.filter(lambda shape: shape[1] <= 10))
+        nums = data.draw(st.lists(st.one_of(st.just(0), ENTRY_VALUES), min_size=q**n, max_size=q**n))
+        den = data.draw(st.sampled_from([1, 6]))
+        f = GridFunction(n, q, [Fraction(v, den) for v in nums])
+        assert core._loads_canonical(dumps_hgf(f)) == f
+
     @pytest.mark.parametrize("text", [
         "3 3\n0 1 2 5\n0 2 1 7\n",
         "3 10\n0 0 9 -12\n9 9 9 1000000000000000000000000\n",
@@ -434,6 +462,7 @@ class TestHGFBulkPass:
         DENSE_SIXTHS,
         "3 3\n0 0 1 -1/6\n1 2 0 5/3\n2 2 2 7\n",
         "2 3\n0 0 +1/+6\n0 2 1_0/0_3\n1 1 2/4\n",
+        "0 3\n5\n",  # n = 0
     ])
     def test_canonical_text_takes_the_bulk_pass(self, text):
         f = core._loads_canonical(text)
@@ -442,6 +471,8 @@ class TestHGFBulkPass:
     @pytest.mark.parametrize("text", [
         "3 3\n0 _ 1 5\n",  # int("0_1", 3) would take it
         "3 3\n+ 1 1 5\n",  # a sign
+        "3 3\n- 1 1 5\n",  # int reads a negative index
+        "3 3\n0 1 1 5\n- 2 2 5\n",
         "3 3\n  1 1 5\n",  # whitespace
         "3 3\n0 1 3 5\n",  # out of range
         "2 12\n0 11 5\n",  # q > 10
@@ -467,7 +498,6 @@ class TestHGFBulkPass:
         DENSE_SIXTHS.replace("2 2 3/2", "2 2 3/2 1"),  # a token too many
         "3 3\n0 1 1 5  # entry\n",  # a comment
         "3  3\n0 1 1 5\n",  # header layout
-        "0 3\n5\n",  # n = 0
     ])
     def test_other_layouts_go_to_the_line_loop(self, text):
         assert core._loads_canonical(text) is None
@@ -480,21 +510,14 @@ class TestHGFBulkPass:
         # those of every line.  (8, 4) rather than (16, 2) halves the loop's
         # tokens, which tracemalloc makes slow to allocate
         nums = [rng.choice([-3, -1, 1, 2, 7, 250, 10**6]) for _ in range(2**16)]
-        expected = GridFunction._reduced(8, 4, nums, den)
-        text = dumps_hgf(expected)
-        assert core._loads_canonical(text) is not None
-        peaks = []
-        for parse in (loads_hgf, core._loads_lines):
-            tracemalloc.start()
-            try:
-                f = parse(text)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert f == expected
-            del f
-            peaks.append(peak)
-        assert peaks[0] <= peaks[1], peaks
+        _assert_bulk_peak_within_the_line_loop(GridFunction._reduced(8, 4, nums, den))
+
+    def test_sparse_peak_memory_within_the_line_loop(self, rng):
+        # one zero value makes a sparse file of 4095 lines, whose words are
+        # compared with the texts of their indices one line at a time
+        nums = [rng.choice([-3, -1, 1, 2, 7, 250, 10**6]) for _ in range(4**6)]
+        nums[rng.randrange(4**6)] = 0
+        _assert_bulk_peak_within_the_line_loop(GridFunction._reduced(6, 4, nums, 1))
 
     @pytest.mark.parametrize("n, q", [(0, 2), (1, 2), (1, 16), (2, 3), (3, 10), (5, 2), (2, 11)])
     def test_dumps_matches_the_entrywise_writer(self, n, q, rng):
